@@ -262,10 +262,22 @@ let chain_process n =
     body
 
 (* a scaled ProducerConsumer: n independent producer/consumer pairs,
-   each with its own queue, on one processor (claim C2) *)
+   each with its own queue (claim C2). Pairs are spread over processors,
+   16 per processor, each group in its own process: 4 ms / 6 ms periods
+   with 100 us compute times give every processor a 12 ms hyper-period
+   over a 100 us base tick, 120 table slots (the TRANS-005 cap is 256),
+   at a utilization of 2/3. No single processor can hold 64 pairs: any
+   compute time short enough to fit them makes the base tick so fine
+   that the table outgrows the cap. *)
+let pairs_per_cpu = 16
+
 let scaled_prodcons n =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let cpus = (n + pairs_per_cpu - 1) / pairs_per_cpu in
+  let pairs_of c =
+    List.filter (fun k -> k / pairs_per_cpu = c) (List.init n Fun.id)
+  in
   pf "package Scaled\npublic\n";
   pf "  data Cell properties Queue_Size => 4; end Cell;\n";
   pf "  data implementation Cell.impl end Cell.impl;\n";
@@ -273,35 +285,37 @@ let scaled_prodcons n =
     pf "  thread prod%d features\n" k;
     pf "      q: requires data access Cell {Access_Right => write_only;};\n";
     pf "    properties Dispatch_Protocol => Periodic; Period => 4 ms;\n";
-    pf "      Compute_Execution_Time => 1 us;\n";
+    pf "      Compute_Execution_Time => 100 us;\n";
     pf "  end prod%d;\n" k;
     pf "  thread implementation prod%d.impl end prod%d.impl;\n" k k;
     pf "  thread cons%d features\n" k;
     pf "      q: requires data access Cell {Access_Right => read_only;};\n";
     pf "      o: out event data port;\n";
     pf "    properties Dispatch_Protocol => Periodic; Period => 6 ms;\n";
-    pf "      Compute_Execution_Time => 1 us;\n";
+    pf "      Compute_Execution_Time => 100 us;\n";
     pf "  end cons%d;\n" k;
     pf "  thread implementation cons%d.impl end cons%d.impl;\n" k k
   done;
-  pf "  process host features\n";
-  for k = 0 to n - 1 do
-    pf "    out%d: out event data port;\n" k
+  for c = 0 to cpus - 1 do
+    pf "  process host%d features\n" c;
+    List.iter (fun k -> pf "    out%d: out event data port;\n" k) (pairs_of c);
+    pf "  end host%d;\n" c;
+    pf "  process implementation host%d.impl\n    subcomponents\n" c;
+    List.iter
+      (fun k ->
+        pf "      p%d: thread prod%d.impl;\n" k k;
+        pf "      c%d: thread cons%d.impl;\n" k k;
+        pf "      q%d: data Cell.impl;\n" k)
+      (pairs_of c);
+    pf "    connections\n";
+    List.iter
+      (fun k ->
+        pf "      ka%d: data access q%d -> p%d.q;\n" k k k;
+        pf "      kb%d: data access q%d -> c%d.q;\n" k k k;
+        pf "      kc%d: port c%d.o -> out%d;\n" k k k)
+      (pairs_of c);
+    pf "  end host%d.impl;\n" c
   done;
-  pf "  end host;\n";
-  pf "  process implementation host.impl\n    subcomponents\n";
-  for k = 0 to n - 1 do
-    pf "      p%d: thread prod%d.impl;\n" k k;
-    pf "      c%d: thread cons%d.impl;\n" k k;
-    pf "      q%d: data Cell.impl;\n" k
-  done;
-  pf "    connections\n";
-  for k = 0 to n - 1 do
-    pf "      ka%d: data access q%d -> p%d.q;\n" k k k;
-    pf "      kb%d: data access q%d -> c%d.q;\n" k k k;
-    pf "      kc%d: port c%d.o -> out%d;\n" k k k
-  done;
-  pf "  end host.impl;\n";
   pf "  processor cpu end cpu;\n";
   pf "  processor implementation cpu.impl end cpu.impl;\n";
   pf "  system sink features\n";
@@ -312,15 +326,20 @@ let scaled_prodcons n =
   pf "  system implementation sink.impl end sink.impl;\n";
   pf "  system rig end rig;\n";
   pf "  system implementation rig.impl\n    subcomponents\n";
-  pf "      h: process host.impl;\n";
-  pf "      cpu0: processor cpu.impl;\n";
+  for c = 0 to cpus - 1 do
+    pf "      h%d: process host%d.impl;\n" c c;
+    pf "      cpu%d: processor cpu.impl;\n" c
+  done;
   pf "      s: system sink.impl;\n";
   pf "    connections\n";
   for k = 0 to n - 1 do
-    pf "      sk%d: port h.out%d -> s.d%d;\n" k k k
+    pf "      sk%d: port h%d.out%d -> s.d%d;\n" k (k / pairs_per_cpu) k k
   done;
   pf "    properties\n";
-  pf "      Actual_Processor_Binding => reference (cpu0) applies to h;\n";
+  for c = 0 to cpus - 1 do
+    pf "      Actual_Processor_Binding => reference (cpu%d) applies to h%d;\n"
+      c c
+  done;
   pf "  end rig.impl;\n";
   pf "end Scaled;\n";
   Buffer.contents buf
@@ -328,7 +347,71 @@ let scaled_prodcons n =
 let translate_scaled src =
   let pkg = Result.get_ok (Aadl.Parser.parse_package src) in
   let inst = Result.get_ok (Aadl.Instance.instantiate pkg ~root:"rig.impl") in
-  Result.get_ok (Trans.System_trans.translate inst)
+  match Trans.System_trans.translate inst with
+  | Ok out -> out
+  | Error m -> failwith ("scaled model does not translate: " ^ m)
+
+(* one periodic thread: its translation keeps an integer counter in a
+   delay register, so even this model is outside the symbolic fragment *)
+let one_thread_source =
+  {|package One
+public
+  thread t0
+    features
+      g: in event port {Queue_Size => 2;};
+      o: out event data port;
+    properties
+      Dispatch_Protocol => Periodic;
+      Period => 8 ms;
+      Deadline => 8 ms;
+      Compute_Execution_Time => 1 ms;
+  end t0;
+  thread implementation t0.impl
+  end t0.impl;
+  process p0
+    features
+      go: in event port;
+      res: out event data port;
+  end p0;
+  process implementation p0.impl
+    subcomponents
+      th0: thread t0.impl;
+    connections
+      cg0: port go -> th0.g;
+      cr0: port th0.o -> res;
+  end p0.impl;
+  processor cpu
+  end cpu;
+  processor implementation cpu.impl
+  end cpu.impl;
+  system env
+    features
+      go: out event port;
+  end env;
+  system implementation env.impl
+  end env.impl;
+  system sink
+    features
+      d0: in event data port;
+  end sink;
+  system implementation sink.impl
+  end sink.impl;
+  system rig
+  end rig;
+  system implementation rig.impl
+    subcomponents
+      e: system env.impl;
+      s: system sink.impl;
+      h0: process p0.impl;
+      cpu0: processor cpu.impl;
+    connections
+      sg0: port e.go -> h0.go;
+      sr0: port h0.res -> s.d0;
+    properties
+      Actual_Processor_Binding => reference (cpu0) applies to h0;
+  end rig.impl;
+end One;
+|}
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel plumbing                                                   *)
@@ -1042,7 +1125,29 @@ let bench_verify () =
       if k = 20 && peak > 200_000 then
         failwith
           "verify bench: symbolic k=20 peak nodes past the 200k ceiling")
-    [ 13; 20 ]
+    [ 13; 20 ];
+  (* AADL models carrying an integer counter: symbolic gives up on the
+     unbounded register (EXPLORE-SYM-001) and `Auto falls back to the
+     explicit engine, so each row times the symbolic attempt plus the
+     explicit decision. Median of 7 runs. *)
+  List.iter
+    (fun (name, a) ->
+      let once () =
+        let t0 = Unix.gettimeofday () in
+        match P.verify ~jobs:1 ~engine:`Auto ~never:"Alarm" a with
+        | Ok (_, _, `Explicit) -> (Unix.gettimeofday () -. t0) *. 1e9
+        | Ok (_, _, `Symbolic) ->
+          failwith "verify bench: expected the explicit fallback"
+        | Error d -> failwith (Putil.Diag.to_string d)
+      in
+      let runs = Array.init 7 (fun _ -> once ()) in
+      Array.sort compare runs;
+      row ("verify/auto-fallback-" ^ name) runs.(3) "symbolic gives up, explicit decides")
+    [ ("case-study", analyzed CS.registry_nominal);
+      ( "1thread",
+        match P.analyze one_thread_source with
+        | Ok a -> a
+        | Error m -> failwith (Putil.Diag.list_to_string m) ) ]
 
 (* C11: ambient observation scopes must be free in practice — the
    whole point of Putil.Obs is that sessions can always run scoped.

@@ -19,6 +19,7 @@ let m_trans_nodes = Metrics.gauge "explore.sym.trans_nodes"
 let m_peak_nodes = Metrics.gauge "explore.sym.peak_nodes"
 let m_gcs = Metrics.gauge "explore.sym.gc_collections"
 let m_check_ns = Metrics.timer "explore.sym.check_ns"
+let m_domain_evals = Metrics.counter "explore.sym.domain_evals"
 
 let code_unsupported =
   Putil.Diag.code "EXPLORE-SYM-001"
@@ -56,15 +57,26 @@ type outcome =
 (* Value identity and finite domains                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Structural identity key. NOT Types.equal_value: state codes must
+(* Structural identity. NOT Types.equal_value: state codes must
    distinguish Vevent from Vbool true, and reals compare by bits. *)
-let vid = function
-  | Types.Vint n -> "i" ^ string_of_int n
-  | Types.Vbool true -> "T"
-  | Types.Vbool false -> "F"
-  | Types.Vevent -> "E"
-  | Types.Vreal r -> "r" ^ Int64.to_string (Int64.bits_of_float r)
-  | Types.Vstring s -> "s" ^ s
+let same_value a b =
+  match a, b with
+  | Types.Vint x, Types.Vint y -> Int.equal x y
+  | Types.Vbool x, Types.Vbool y -> Bool.equal x y
+  | Types.Vevent, Types.Vevent -> true
+  | Types.Vreal x, Types.Vreal y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Types.Vstring x, Types.Vstring y -> String.equal x y
+  | _ -> false
+
+(* [same_value] implies structural equality, so the generic hash (no
+   allocation) is compatible with it *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Types.value
+
+  let equal = same_value
+  let hash = Hashtbl.hash
+end)
 
 (* Mirrors Compile.atom_equal / Types.equal_value (event/bool cross). *)
 let veq a b =
@@ -82,23 +94,6 @@ type dom = Dset of Types.value list | Dtop
 let dom_cap = 64
 let queue_cap_max = 16
 let part_cap = 128
-
-let dom_add d v =
-  match d with
-  | Dtop -> Dtop
-  | Dset vs ->
-    if List.exists (fun w -> String.equal (vid w) (vid v)) vs then d
-    else if List.length vs >= dom_cap then Dtop
-    else Dset (vs @ [ v ])
-
-let dom_join a b =
-  match a, b with
-  | Dtop, _ | _, Dtop -> Dtop
-  | Dset _, Dset ws -> List.fold_left dom_add a ws
-
-let dom_size = function Dtop -> max_int | Dset vs -> List.length vs
-
-let bool2 = Dset [ Types.Vbool true; Types.Vbool false ]
 
 (* Non-error result of an arithmetic binop on two concrete values;
    mirrors Compile.exec_binop (int ops, real ops sans Mod). *)
@@ -121,96 +116,160 @@ let arith bop a b =
     | _ -> None)
   | _ -> None
 
+(* A domain under construction: values in insertion order (that order
+   becomes the register's state codes) plus an index for membership.
+   Adding a value past [dom_cap] turns the domain into top. *)
+type vdom = {
+  mutable top : bool;
+  mutable vals : Types.value array;
+  mutable len : int;
+  index : unit Vtbl.t;
+}
+
+let vdom_add d v =
+  if not (d.top || Vtbl.mem d.index v) then
+    if d.len >= dom_cap then d.top <- true
+    else begin
+      if d.len = Array.length d.vals then begin
+        let vals = Array.make (min dom_cap (max 4 (2 * d.len))) v in
+        Array.blit d.vals 0 vals 0 d.len;
+        d.vals <- vals
+      end;
+      d.vals.(d.len) <- v;
+      d.len <- d.len + 1;
+      Vtbl.add d.index v ()
+    end
+
+(* The atoms whose values a signal's transfer maps into its domain, in
+   the order it reads them; a constant stands for a value the transfer
+   always adds *)
+let operands (prog : Prog.t) (in_dom : dom array) i =
+  let consts vs = Array.of_list (List.map (fun v -> Prog.Aconst v) vs) in
+  match prog.Prog.vdefs.(i) with
+  | Prog.Vnone -> (
+    match in_dom.(i) with
+    | Dset vs when prog.Prog.is_input.(i) -> consts vs
+    | _ -> [||])
+  | Prog.Vfunc (op, args) -> (
+    match op, Array.length args with
+    | (K.Pid | K.Punop _), 1 -> args
+    | K.Pclock, 1 -> consts [ Types.Vevent ]
+    | K.Pif, 3 -> [| args.(1); args.(2) |]
+    | K.Pbinop (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod), 2 -> args
+    | K.Pbinop _, 2 -> consts [ Types.Vbool true; Types.Vbool false ]
+    | _ -> [||])
+  | Prog.Vdelay ->
+    let init = Prog.Aconst prog.Prog.delay_init.(i) in
+    let src = prog.Prog.delay_src.(i) in
+    if src >= 0 then [| init; Prog.Avar src |] else [| init |]
+  | Prog.Vwhen a -> [| a |]
+  | Prog.Vdefault (l, r) -> [| l; r |]
+  | Prog.Vprim (pi, pos) ->
+    let lp = prog.Prog.prims.(pi) in
+    if pos = 0 then [| Prog.Avar lp.Prog.lp_ins.(0) |]
+    else consts (List.init (max 1 lp.Prog.lp_capacity + 1) (fun k -> Types.Vint k))
+
 (* Least fixpoint of per-signal value domains. [in_dom.(i)] is the
-   domain an input signal draws from its stimulus alternatives. *)
-let domains (prog : Prog.t) (in_dom : dom array) =
+   domain an input signal draws from its stimulus alternatives.
+
+   Signals are swept in index order until a sweep changes nothing, and
+   each transfer adds its results straight into the signal's domain.
+   Domains only grow, so a domain's length is its change stamp: each
+   signal remembers the operand lengths its transfer last consumed, is
+   skipped while none of them grew, and otherwise reads only the
+   operand values added since. Every value the transfer would compute
+   from the older operand values is already in its domain, so re-adding
+   it would change nothing: the result — values and their order — is
+   that of re-evaluating every transfer in full on every sweep. Any top
+   operand makes the result top. *)
+let value_domains (prog : Prog.t) (in_dom : dom array) =
   let n = prog.Prog.n in
-  let doms = Array.make n (Dset []) in
-  let adom = function
-    | Prog.Avar y -> doms.(y)
-    | Prog.Aconst v -> Dset [ v ]
+  let doms =
+    Array.init n (fun i ->
+        let top =
+          match prog.Prog.vdefs.(i), in_dom.(i) with
+          | Prog.Vnone, Dtop -> prog.Prog.is_input.(i)
+          | _ -> false
+        in
+        { top; vals = [||]; len = 0; index = Vtbl.create 8 })
   in
-  let cross f a b =
-    match a, b with
-    | Dtop, _ | _, Dtop -> Dtop
-    | Dset xs, Dset ys ->
-      List.fold_left
-        (fun acc x ->
-          List.fold_left
-            (fun acc y ->
-              match f x y with Some v -> dom_add acc v | None -> acc)
-            acc ys)
-        (Dset []) xs
+  let args = Array.init n (operands prog in_dom) in
+  (* [seen.(i).(k)]: length of operand k when transfer i last ran *)
+  let seen = Array.map (fun a -> Array.make (Array.length a) 0) args in
+  let len = function Prog.Aconst _ -> 1 | Prog.Avar y -> doms.(y).len in
+  let is_top = function
+    | Prog.Aconst _ -> false
+    | Prog.Avar y -> doms.(y).top
   in
-  let map1 f a =
-    match a with
-    | Dtop -> Dtop
-    | Dset xs ->
-      List.fold_left
-        (fun acc x ->
-          match f x with Some v -> dom_add acc v | None -> acc)
-        (Dset []) xs
+  let get a k =
+    match a with Prog.Aconst v -> v | Prog.Avar y -> doms.(y).vals.(k)
   in
-  let transfer i =
+  let stale i =
+    let a = args.(i) and lo = seen.(i) in
+    let rec grew k =
+      k < Array.length a && (is_top a.(k) || len a.(k) > lo.(k) || grew (k + 1))
+    in
+    grew 0
+  in
+  (* add to [d] the results on operand values at [lo, hi) *)
+  let transfer i d lo hi =
+    let a = args.(i) in
+    let map f =
+      Array.iteri
+        (fun k x ->
+          for j = lo.(k) to hi.(k) - 1 do
+            Option.iter (vdom_add d) (f (get x j))
+          done)
+        a
+    in
     match prog.Prog.vdefs.(i) with
-    | Prog.Vnone -> if prog.Prog.is_input.(i) then in_dom.(i) else Dset []
-    | Prog.Vfunc (op, args) -> (
-      match op, Array.length args with
-      | K.Pid, 1 -> adom args.(0)
-      | K.Pclock, 1 -> Dset [ Types.Vevent ]
-      | K.Punop Ast.Not, 1 ->
-        map1
-          (function
-            | Types.Vbool b -> Some (Types.Vbool (not b))
-            | Types.Vevent -> Some (Types.Vbool false)
-            | _ -> None)
-          (adom args.(0))
-      | K.Punop Ast.Neg, 1 ->
-        map1
-          (function
-            | Types.Vint x -> Some (Types.Vint (-x))
-            | Types.Vreal x -> Some (Types.Vreal (-.x))
-            | _ -> None)
-          (adom args.(0))
-      | K.Pif, 3 -> dom_join (adom args.(1)) (adom args.(2))
-      | K.Pbinop bop, 2 -> (
-        match bop with
-        | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod ->
-          cross (arith bop) (adom args.(0)) (adom args.(1))
-        | Ast.And | Ast.Or | Ast.Xor | Ast.Eq | Ast.Neq | Ast.Lt
-        | Ast.Le | Ast.Gt | Ast.Ge ->
-          bool2)
-      | _ -> Dset [])
-    | Prog.Vdelay ->
-      let d = dom_add doms.(i) prog.Prog.delay_init.(i) in
-      let src = prog.Prog.delay_src.(i) in
-      if src >= 0 then dom_join d doms.(src) else d
-    | Prog.Vwhen a -> adom a
-    | Prog.Vdefault (l, r) -> dom_join (adom l) (adom r)
-    | Prog.Vprim (pi, pos) ->
-      let lp = prog.Prog.prims.(pi) in
-      if pos = 0 then adom (Prog.Avar lp.Prog.lp_ins.(0))
-      else begin
-        let cap = max 1 lp.Prog.lp_capacity in
-        let d = ref (Dset []) in
-        for k = 0 to cap do
-          d := dom_add !d (Types.Vint k)
-        done;
-        !d
-      end
+    | Prog.Vfunc (K.Punop Ast.Not, _) ->
+      map (function
+        | Types.Vbool b -> Some (Types.Vbool (not b))
+        | Types.Vevent -> Some (Types.Vbool false)
+        | _ -> None)
+    | Prog.Vfunc (K.Punop Ast.Neg, _) ->
+      map (function
+        | Types.Vint x -> Some (Types.Vint (-x))
+        | Types.Vreal x -> Some (Types.Vreal (-.x))
+        | _ -> None)
+    | Prog.Vfunc
+        (K.Pbinop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod) as bop), _)
+      ->
+      (* the pairs with at least one new component, in the full cross
+         product's order; a product with more than [dom_cap] distinct
+         results overflows [d], which receives them all *)
+      for x = 0 to hi.(0) - 1 do
+        for y = (if x < lo.(0) then lo.(1) else 0) to hi.(1) - 1 do
+          Option.iter (vdom_add d) (arith bop (get a.(0) x) (get a.(1) y))
+        done
+      done
+    | _ -> map Option.some
   in
+  let evals = ref 0 in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = 0 to n - 1 do
-      let d' = dom_join doms.(i) (transfer i) in
-      if dom_size d' <> dom_size doms.(i) then begin
-        doms.(i) <- d';
-        changed := true
+      let d = doms.(i) in
+      if (not d.top) && stale i then begin
+        incr evals;
+        let len0 = d.len in
+        if Array.exists is_top args.(i) then d.top <- true
+        else begin
+          let hi = Array.map len args.(i) in
+          transfer i d seen.(i) hi;
+          seen.(i) <- hi
+        end;
+        if d.top || d.len <> len0 then changed := true
       end
     done
   done;
-  doms
+  Metrics.incr ~by:!evals m_domain_evals;
+  Array.map
+    (fun d ->
+      if d.top then Dtop else Dset (Array.to_list (Array.sub d.vals 0 d.len)))
+    doms
 
 (* ------------------------------------------------------------------ *)
 (* Bit encodings                                                       *)
@@ -258,10 +317,7 @@ type qenc = {
 }
 
 let vindex vals v =
-  let k = vid v in
-  let r = ref (-1) in
-  Array.iteri (fun j w -> if !r < 0 && String.equal (vid w) k then r := j) vals;
-  !r
+  Option.value ~default:(-1) (Array.find_index (same_value v) vals)
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
@@ -293,15 +349,11 @@ let run_exn ~depth ~inputs ~prop c =
                   match a with
                   | None -> acc
                   | Some v ->
-                    if
-                      List.exists
-                        (fun w -> String.equal (vid w) (vid v))
-                        acc
-                    then acc
-                    else acc @ [ v ])
+                    if List.exists (same_value v) acc then acc
+                    else v :: acc)
                 [] alts
             in
-            (i, has_none, Array.of_list vals))
+            (i, has_none, Array.of_list (List.rev vals)))
         inputs
     in
     (* a doubly-listed input would make the explicit cross-product
@@ -318,7 +370,7 @@ let run_exn ~depth ~inputs ~prop c =
     List.iter
       (fun (i, _, vals) -> in_dom.(i) <- Dset (Array.to_list vals))
       in_specs;
-    let doms = domains prog in_dom in
+    let doms = value_domains prog in_dom in
     (* ---- state bit allocation: delay registers, then queues ---- *)
     let sbn = ref 0 in
     let alloc bits =
@@ -517,16 +569,19 @@ let run_exn ~depth ~inputs ~prop c =
            es)
     in
     let merge es =
-      let out : (string * (Types.value * Bdd.t ref)) list ref = ref [] in
+      let slot = Vtbl.create 8 in
+      let out = ref [] in (* newest first *)
       List.iter
         (fun (v, g) ->
           if not (Bdd.is_zero g) then
-            let k = vid v in
-            match List.assoc_opt k !out with
-            | Some (_, r) -> r := b_or !r g
-            | None -> out := !out @ [ (k, (v, ref g)) ])
+            match Vtbl.find_opt slot v with
+            | Some r -> r := b_or !r g
+            | None ->
+              let r = ref g in
+              Vtbl.add slot v r;
+              out := (v, r) :: !out)
         es;
-      let es = List.map (fun (_, (v, r)) -> (v, !r)) !out in
+      let es = List.rev_map (fun (v, r) -> (v, !r)) !out in
       if List.length es > part_cap then
         unsup "a value partition exceeds %d entries" part_cap;
       es

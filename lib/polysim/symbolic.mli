@@ -24,6 +24,20 @@ val code_unsupported : string
 (** Diagnostic code emitted when the process is outside the
     symbolically checkable fragment ([EXPLORE-SYM-001]). *)
 
+(** A signal's finite value domain, or [Dtop] when it is unbounded.
+    A domain holds at most 64 values; one more makes it [Dtop]. *)
+type dom = Dset of Signal_lang.Types.value list | Dtop
+
+val value_domains : Prog.t -> dom array -> dom array
+(** [value_domains prog in_dom] is the least fixpoint of per-signal
+    value domains, [in_dom.(i)] being the domain input [i] draws from
+    its stimulus alternatives. Each [Dset] lists its values in the
+    order they were first produced, sweeping signals in index order;
+    that order fixes every register's state codes. A delay register
+    or queue element whose domain is [Dtop] puts the process outside
+    the symbolic fragment. Counts transfer evaluations on the
+    [explore.sym.domain_evals] counter. *)
+
 (** Safety properties checkable symbolically (and replayable on the
     explicit simulator). *)
 type prop =
