@@ -603,14 +603,17 @@ let bench_simulate () =
       failwith "simulate bench: compiled-batched under the 10x floor"
   | _ -> failwith "simulate bench: speedup rows missing"
 
-(* C6: lockstep multi-scenario stepping — one compiled plan advancing
-   K striped state copies vs K independent batched runs. The lockstep
-   rows share closure code and plan metadata across scenarios, so the
-   amortized per-scenario cost should fall as K grows. *)
+(* C6: multi-scenario simulation — K environment scenarios of the
+   case study over one compiled plan, each a separate instance: K
+   batched runs in sequence on the calling domain (independent) vs
+   [Pipeline.simulate_scenarios], which forks the plan once per
+   scenario and runs the forks on a domain pool. *)
 let bench_scenarios () =
   let a = analyzed CS.registry_nominal in
   let kp = a.P.kernel in
-  let horizon = 24 in
+  let horizon = 24 and k = 64 in
+  if P.base_ticks_per_hyperperiod a <> horizon then
+    failwith "scenarios bench: the case-study hyper-period is not 24 instants";
   let c0 = Result.get_ok (Polysim.Compile.compile kp) in
   let tick = Option.get (Polysim.Compile.signal_index c0 "tick") in
   let go = Option.get (Polysim.Compile.signal_index c0 "env_pGo") in
@@ -619,19 +622,7 @@ let bench_scenarios () =
     Polysim.Compile.set_stim c tick Types.Vevent;
     if t = s mod horizon then Polysim.Compile.set_stim c go (Types.Vint 1)
   in
-  let lockstep k =
-    Test.make ~name:(Printf.sprintf "scenarios/lockstep-%d(24-instants)" k)
-      (Staged.stage (fun () ->
-           match Polysim.Compile.compile_scenarios kp ~scenarios:k with
-           | Error m -> failwith m
-           | Ok c ->
-             for t = 0 to horizon - 1 do
-               match Polysim.Compile.step_many c ~fill:(fill_at t) with
-               | Ok () -> ()
-               | Error m -> failwith m
-             done))
-  in
-  let independent k =
+  let independent =
     Test.make ~name:(Printf.sprintf "scenarios/independent-%d(24-instants)" k)
       (Staged.stage (fun () ->
            for s = 0 to k - 1 do
@@ -646,19 +637,26 @@ let bench_scenarios () =
                | Error m -> failwith m)
            done))
   in
-  run_benchs "C6: lockstep multi-scenario stepping"
-    [ lockstep 1; lockstep 8; lockstep 64; independent 64 ];
-  let ns name =
-    List.assoc_opt ("C6: lockstep multi-scenario stepping/" ^ name) !all_rows
+  let pipeline =
+    Test.make ~name:(Printf.sprintf "scenarios/pipeline-%d(24-instants)" k)
+      (Staged.stage (fun () ->
+           match P.simulate_scenarios ~hyperperiods:1 ~scenarios:k a with
+           | Ok _ -> ()
+           | Error ds -> failwith (Putil.Diag.list_to_string ds)))
   in
+  let section = "C6: multi-scenario simulation" in
+  run_benchs section [ independent; pipeline ];
+  let ns name = List.assoc_opt (section ^ "/" ^ name) !all_rows in
   match
-    (ns "scenarios/lockstep-64(24-instants)",
-     ns "scenarios/independent-64(24-instants)")
+    (ns (Printf.sprintf "scenarios/pipeline-%d(24-instants)" k),
+     ns (Printf.sprintf "scenarios/independent-%d(24-instants)" k))
   with
-  | Some lock, Some indep ->
+  | Some pipe, Some indep ->
     Format.printf
-      "  lockstep-64: %.1f us amortized per scenario (independent: %.1f us)@."
-      (lock /. 64. /. 1e3) (indep /. 64. /. 1e3)
+      "  pipeline-%d: %.1f us per scenario on %d lane(s) (independent: %.1f us)@."
+      k (pipe /. float k /. 1e3)
+      (min k (Domain.recommended_domain_count ()))
+      (indep /. float k /. 1e3)
   | _ -> ()
 
 (* C4: affine clock calculus micro-ops *)

@@ -325,9 +325,20 @@ let simulate_cmd =
                  fixpoint interpreter.")
   in
   let scenarios_arg =
-    Arg.(value & opt int 1 & info [ "scenarios" ] ~docv:"K"
-           ~doc:"Run K environment scenarios in lockstep over one \
-                 compiled plan (scenario k delays each environment \
+    (* a count below 1 is a usage error, not a silent single run *)
+    let count =
+      let parse s =
+        match Arg.conv_parser Arg.int s with
+        | Ok k when k < 1 ->
+          Error (`Msg (Printf.sprintf "%d is not a positive count" k))
+        | r -> r
+      in
+      Arg.conv (parse, Arg.conv_printer Arg.int)
+    in
+    Arg.(value & opt count 1 & info [ "scenarios" ] ~docv:"K"
+           ~doc:"Run K >= 1 environment scenarios as K independent \
+                 instances forked from one compiled plan, in parallel \
+                 on a domain pool (scenario k delays each environment \
                  arrival by k base ticks). Prints the chronogram of \
                  scenario 0 and a per-scenario summary; implies the \
                  compiled path.")
@@ -348,7 +359,7 @@ let simulate_cmd =
             prerr_string (Putil.Diag.render_list ds);
             exit (Putil.Diag.exit_code ds)
         in
-        Format.printf "%d scenarios, %d instants each (lockstep)@."
+        Format.printf "%d scenarios, %d instants each (forked instances)@."
           scenarios (Polysim.Trace.length traces.(0));
         Array.iteri
           (fun s tr ->

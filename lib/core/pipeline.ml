@@ -324,6 +324,8 @@ let code_root =
   Putil.Diag.code "CORE-ROOT-001"
     "cannot determine a root system implementation"
 let code_sim = Putil.Diag.code "SIM-001" "simulation step failed"
+let code_sim_args =
+  Putil.Diag.code "SIM-002" "invalid simulation parameters"
 let code_compile =
   Putil.Diag.code "COMPILE-001"
     "clock-directed compilation failed"
@@ -1049,6 +1051,27 @@ let fill_stimulus c stim =
       | None -> raise (Unknown_input x))
     stim
 
+(* Drive compiled instance [c] over [horizon] instants of
+   [stimulus_at] in one batched call. *)
+let run_compiled c ~horizon ~stimulus_at =
+  match
+    Polysim.Compile.run_batched c ~n:horizon
+      ~fill:(fun c t -> fill_stimulus c (stimulus_at t))
+  with
+  | Ok () -> Ok (Polysim.Compile.trace c)
+  | Error m ->
+    Error
+      [ Putil.Diag.errorf ~code:code_sim "instant %d: %s"
+          (Polysim.Compile.instant c) m ]
+  | exception Unknown_input x ->
+    Error
+      [ Putil.Diag.errorf ~code:code_sim "stimulus for unknown signal %s" x ]
+
+let compile_kernel a =
+  Result.map_error
+    (fun m -> [ Putil.Diag.errorf ~code:code_compile "compile: %s" m ])
+    (Polysim.Compile.compile a.kernel)
+
 let simulate ?(compiled = false) ?env ?(hyperperiods = 2) a =
   in_analyzed_scope a @@ fun () ->
   let env = Option.value ~default:(default_env a) env in
@@ -1082,25 +1105,8 @@ let simulate ?(compiled = false) ?env ?(hyperperiods = 2) a =
     go 0
   in
   if compiled then
-    match Polysim.Compile.compile a.kernel with
-    | Error m ->
-      Error [ Putil.Diag.errorf ~code:code_compile "compile: %s" m ]
-    | Ok c -> (
-      (* dense batched stepping: the whole horizon in one call, no
-         per-instant assoc lists *)
-      match
-        Polysim.Compile.run_batched c ~n:horizon
-          ~fill:(fun c t -> fill_stimulus c (stimulus_at t))
-      with
-      | Ok () -> Ok (finish (Polysim.Compile.trace c))
-      | Error m ->
-        Error
-          [ Putil.Diag.errorf ~code:code_sim "instant %d: %s"
-              (Polysim.Compile.instant c) m ]
-      | exception Unknown_input x ->
-        Error
-          [ Putil.Diag.errorf ~code:code_sim
-              "stimulus for unknown signal %s" x ])
+    Result.bind (compile_kernel a) @@ fun c ->
+    Result.map finish (run_compiled c ~horizon ~stimulus_at)
   else
     let engine = Polysim.Engine.create a.kernel in
     run (fun ~stimulus -> Polysim.Engine.step engine ~stimulus)
@@ -1116,43 +1122,38 @@ let scenario_env a ~horizon s t =
   else []
 
 let simulate_scenarios ?envs ?(hyperperiods = 2) ~scenarios a =
-  in_analyzed_scope a @@ fun () ->
-  let horizon = base_ticks_per_hyperperiod a * hyperperiods in
-  let envs =
-    match envs with
-    | Some f -> f
-    | None -> scenario_env a ~horizon
-  in
-  Putil.Tracing.with_span "pipeline.simulate_scenarios"
-    ~args:
-      [ ("scenarios", Putil.Tracing.Aint scenarios);
-        ("horizon_ticks", Putil.Tracing.Aint horizon) ]
-  @@ fun () ->
-  match Polysim.Compile.compile_scenarios a.kernel ~scenarios with
-  | Error m ->
-    Error [ Putil.Diag.errorf ~code:code_compile "compile: %s" m ]
-  | Ok c -> (
-    let stim_of =
-      Array.init scenarios (fun s -> stimulus_at_fn a (envs s))
+  if scenarios < 1 then
+    Error
+      [ Putil.Diag.errorf ~code:code_sim_args
+          "scenario count must be at least 1 (got %d)" scenarios ]
+  else
+    in_analyzed_scope a @@ fun () ->
+    let horizon = base_ticks_per_hyperperiod a * hyperperiods in
+    let envs =
+      match envs with
+      | Some f -> f
+      | None -> scenario_env a ~horizon
     in
-    let rec go t =
-      if t >= horizon then
-        Ok (Array.init scenarios (Polysim.Compile.trace_of c))
-      else
-        match
-          Polysim.Compile.step_many c
-            ~fill:(fun c s -> fill_stimulus c (stim_of.(s) t))
-        with
-        | Ok () -> go (t + 1)
-        | Error m ->
-          Error [ Putil.Diag.errorf ~code:code_sim "instant %d: %s" t m ]
-    in
-    match go 0 with
-    | r -> r
-    | exception Unknown_input x ->
-      Error
-        [ Putil.Diag.errorf ~code:code_sim "stimulus for unknown signal %s"
-            x ])
+    Putil.Tracing.with_span "pipeline.simulate_scenarios"
+      ~args:
+        [ ("scenarios", Putil.Tracing.Aint scenarios);
+          ("horizon_ticks", Putil.Tracing.Aint horizon) ]
+    @@ fun () ->
+    Result.bind (compile_kernel a) @@ fun c0 ->
+    (* one fork of the shared plan per scenario, run as pool tasks *)
+    let results = Array.make scenarios (Error []) in
+    let lanes = min scenarios (Domain.recommended_domain_count ()) in
+    Putil.Domain_pool.with_pool lanes (fun pool ->
+        Putil.Domain_pool.run_tasks pool
+          (List.init scenarios (fun s () ->
+               let c = if s = 0 then c0 else Polysim.Compile.fork c0 in
+               results.(s) <-
+                 run_compiled c ~horizon
+                   ~stimulus_at:(stimulus_at_fn a (envs s)))));
+    (* the lowest failing scenario reports, whatever the lane timing *)
+    match Array.find_opt Result.is_error results with
+    | Some (Error ds) -> Error ds
+    | _ -> Ok (Array.map Result.get_ok results)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded verification                                                *)

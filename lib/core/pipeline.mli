@@ -196,15 +196,20 @@ val simulate_scenarios :
   scenarios:int ->
   analyzed ->
   (Polysim.Trace.t array, Putil.Diag.t list) result
-(** Lockstep multi-scenario simulation on the compiled path
-    ({!Polysim.Compile.step_many}): [scenarios] copies of the system
-    state advance together over one shared compiled plan, each driven
-    by its own environment. [envs s t] supplies scenario [s]'s
+(** Multi-scenario simulation on the compiled path: the plan is built
+    once and {!Polysim.Compile.fork}ed into one independent instance
+    per scenario, each driven by its own environment through
+    {!Polysim.Compile.run_batched}. The forks run as tasks on a
+    {!Putil.Domain_pool} of [min scenarios
+    (Domain.recommended_domain_count ())] lanes, so [envs] may be
+    called from worker domains. [envs s t] supplies scenario [s]'s
     environment arrivals at instant [t]; the default delays each
     arrival by [s] base ticks (scenario 0 is the {!simulate} default).
     Returns one trace per scenario — identical to [scenarios]
-    independent {!simulate} runs with the same environments, at a
-    fraction of the cost. *)
+    independent [simulate ~compiled:true] runs with the same
+    environments. A failure reports the lowest failing scenario, so
+    the result does not depend on lane timing. [scenarios < 1] is
+    rejected with a [SIM-002] diagnostic. *)
 
 val global_base_us : analyzed -> int
 (** Microseconds of one simulated instant: the gcd of every

@@ -70,30 +70,26 @@ type catom =
   | CAconst_r of float
   | CAconst_s of string
 
-(* FIFO state as unboxed ring buffers, one stripe of [cap] cells per
-   scenario (mirroring the ring layout the C backend emits) *)
+(* FIFO state as unboxed ring buffers of [cap] cells (mirroring the
+   ring layout the C backend emits) *)
 type prim_st = {
   lp : Prog.lprim;
   cap : int;                       (* ring capacity, >= 1 *)
-  q_ri : int array;                (* nscen * cap payload cells *)
+  q_ri : int array;                (* cap payload cells *)
   q_rr : float array;
   q_rs : string array;
   q_tg : int array;
-  q_len : int array;               (* per scenario *)
-  q_head : int array;              (* per scenario *)
-  overflows : int array;           (* per scenario *)
+  mutable q_len : int;
+  mutable q_head : int;
 }
 
 (* The compiler is split in two: an immutable [plan] — everything that
    depends only on the kernel (lowered IR, clock analysis, presence
    definitions, decision-tree clock functions, the topologically
    sorted op schedule compiled to closures) — and a mutable instance
-   [t] holding per-run state. Instance state is striped: scenario [s]
-   of a [K]-scenario instance owns slots [s*n .. s*n+n-1] of every
-   per-signal array (and [s*nclasses ..] of the presence array), and
-   the compiled code addresses state only through [base_sig]/[base_cls],
-   so one shared plan drives any number of scenarios in lockstep.
-   Plans are memoized on the kernel's structural digest and shared
+   [t] holding per-run state: one copy of every per-signal array,
+   indexed directly by dense signal index (the presence array by class
+   id). Plans are memoized on the kernel's structural digest and shared
    freely, including across domains: stepping an instance only reads
    the plan, so each worker of the parallel explorer instantiates its
    own [t] over the one shared plan. *)
@@ -126,25 +122,21 @@ and t = {
   n_free : int;
   (* instance-owned state *)
   n : int;                         (* signal count *)
-  nscen : int;                     (* scenarios sharing this instance *)
-  mutable scen : int;              (* currently selected scenario *)
-  mutable base_sig : int;          (* = scen * n *)
-  mutable base_cls : int;          (* = scen * nclasses *)
-  (* per-instant SoA slots, scenario-striped *)
+  (* per-instant SoA slots *)
   ri : int array;
   rr : float array;
   rs : string array;
   tg : int array;
   has : bool array;                (* slot holds a value this instant *)
   stim_p : bool array;             (* input stimulated this instant *)
-  pres : bool array;               (* per class, scenario-striped *)
-  (* delay registers, scenario-striped, same slot layout *)
+  pres : bool array;               (* per class *)
+  (* delay registers, same slot layout *)
   di : int array;
   dr : float array;
   ds : string array;
   dtg : int array;
   prims : prim_st array;
-  traces : Trace.t array;          (* one per scenario *)
+  trace : Trace.t;
   mutable instants : int;
   mutable recording : bool;
 }
@@ -238,34 +230,34 @@ let slot_bool st j =
 
 let atom_check st = function
   | CAvar y ->
-    if not st.has.(st.base_sig + y) then
+    if not st.has.(y) then
       errf "instant %d: signal %s used before being computed"
         st.instants st.prog.Prog.names.(y)
   | CAconst_i _ | CAconst_r _ | CAconst_s _ -> ()
 
 let atom_tag st = function
-  | CAvar y -> st.tg.(st.base_sig + y)
+  | CAvar y -> st.tg.(y)
   | CAconst_i (t, _) -> t
   | CAconst_r _ -> tg_real
   | CAconst_s _ -> tg_string
 
 let atom_i st = function
-  | CAvar y -> st.ri.(st.base_sig + y)
+  | CAvar y -> st.ri.(y)
   | CAconst_i (_, n) -> n
   | CAconst_r _ | CAconst_s _ -> 0
 
 let atom_r st = function
-  | CAvar y -> st.rr.(st.base_sig + y)
+  | CAvar y -> st.rr.(y)
   | CAconst_r r -> r
   | CAconst_i _ | CAconst_s _ -> 0.
 
 let atom_s st = function
-  | CAvar y -> st.rs.(st.base_sig + y)
+  | CAvar y -> st.rs.(y)
   | CAconst_s s -> s
   | CAconst_i _ | CAconst_r _ -> ""
 
 let atom_boxed st = function
-  | CAvar y -> slot_value st (st.base_sig + y)
+  | CAvar y -> slot_value st y
   | CAconst_i (t, n) ->
     if t = tg_int then Types.Vint n
     else if t = tg_bool then (if n <> 0 then Types.Vbool true else Types.Vbool false)
@@ -282,7 +274,7 @@ let atom_bool st a =
 
 let copy_atom st dst a =
   match a with
-  | CAvar y -> copy_sig st dst (st.base_sig + y)
+  | CAvar y -> copy_sig st dst y
   | CAconst_i (t, n) -> st.tg.(dst) <- t; st.ri.(dst) <- n; st.has.(dst) <- true
   | CAconst_r r -> set_r st dst r
   | CAconst_s s -> st.tg.(dst) <- tg_string; st.rs.(dst) <- s; st.has.(dst) <- true
@@ -367,15 +359,12 @@ let bdd_env st v =
   if v >= Array.length st.bddvars then false
   else
     match st.bddvars.(v) with
-    | Rpresent c -> st.pres.(st.base_cls + c)
+    | Rpresent c -> st.pres.(c)
     | Rcond bi ->
-      let j = st.base_sig + bi in
-      st.pres.(st.base_cls + st.class_of.(bi))
-      && st.has.(j) && slot_bool st j
+      st.pres.(st.class_of.(bi)) && st.has.(bi) && slot_bool st bi
     | Rcondeq (xi, k) ->
-      let j = st.base_sig + xi in
-      st.pres.(st.base_cls + st.class_of.(xi))
-      && st.has.(j) && st.tg.(j) = tg_int && st.ri.(j) = k
+      st.pres.(st.class_of.(xi))
+      && st.has.(xi) && st.tg.(xi) = tg_int && st.ri.(xi) = k
     | Rnone -> false
 
 let rec ceval st = function
@@ -383,15 +372,12 @@ let rec ceval st = function
   | Cnode (r, hi, lo) ->
     let v =
       match r with
-      | Rpresent c -> st.pres.(st.base_cls + c)
+      | Rpresent c -> st.pres.(c)
       | Rcond bi ->
-        let j = st.base_sig + bi in
-        st.pres.(st.base_cls + st.class_of.(bi))
-        && st.has.(j) && slot_bool st j
+        st.pres.(st.class_of.(bi)) && st.has.(bi) && slot_bool st bi
       | Rcondeq (xi, k) ->
-        let j = st.base_sig + xi in
-        st.pres.(st.base_cls + st.class_of.(xi))
-        && st.has.(j) && st.tg.(j) = tg_int && st.ri.(j) = k
+        st.pres.(st.class_of.(xi))
+        && st.has.(xi) && st.tg.(xi) = tg_int && st.ri.(xi) = k
       | Rnone -> false
     in
     if v then ceval st hi else ceval st lo
@@ -402,8 +388,7 @@ let rec ceval st = function
 (* ------------------------------------------------------------------ *)
 
 let copy_queue_head st p dst =
-  let s = st.scen in
-  let idx = (s * p.cap) + p.q_head.(s) in
+  let idx = p.q_head in
   let t = p.q_tg.(idx) in
   st.tg.(dst) <- t;
   (match t with
@@ -412,34 +397,31 @@ let copy_queue_head st p dst =
    | _ -> st.ri.(dst) <- p.q_ri.(idx));
   st.has.(dst) <- true
 
-let qclear p s =
-  p.q_len.(s) <- 0;
-  p.q_head.(s) <- 0
+let qclear p =
+  p.q_len <- 0;
+  p.q_head <- 0
 
-let qpop p s =
-  if p.q_len.(s) > 0 then begin
-    p.q_head.(s) <- (p.q_head.(s) + 1) mod p.cap;
-    p.q_len.(s) <- p.q_len.(s) - 1
+let qpop p =
+  if p.q_len > 0 then begin
+    p.q_head <- (p.q_head + 1) mod p.cap;
+    p.q_len <- p.q_len - 1
   end
 
 let qwrite_tail st p src =
-  let s = st.scen in
-  let idx = (s * p.cap) + ((p.q_head.(s) + p.q_len.(s)) mod p.cap) in
+  let idx = (p.q_head + p.q_len) mod p.cap in
   let t = st.tg.(src) in
   p.q_tg.(idx) <- t;
   (match t with
    | 3 -> p.q_rr.(idx) <- st.rr.(src)
    | 4 -> p.q_rs.(idx) <- st.rs.(src)
    | _ -> p.q_ri.(idx) <- st.ri.(src));
-  p.q_len.(s) <- p.q_len.(s) + 1
+  p.q_len <- p.q_len + 1
 
 let qpush_bounded st p src =
-  let s = st.scen in
-  if p.q_len.(s) >= p.cap then begin
-    p.overflows.(s) <- p.overflows.(s) + 1;
+  if p.q_len >= p.cap then begin
     match p.lp.Prog.lp_policy with
     | Prog.Drop_oldest ->
-      qpop p s;
+      qpop p;
       qwrite_tail st p src
     | Prog.Drop_newest -> ()
     | Prog.Overflow_error ->
@@ -449,28 +431,27 @@ let qpush_bounded st p src =
   else qwrite_tail st p src
 
 let commit_prim st p =
-  let s = st.scen in
   let ins = p.lp.Prog.lp_ins in
   match p.lp.Prog.lp_ki.K.ki_prim with
   | Stdproc.Pfifo | Stdproc.Pfifo_reset ->
     if Array.length ins = 3
-       && st.pres.(st.base_cls + st.class_of.(ins.(2)))
-    then qclear p s;
-    if st.pres.(st.base_cls + st.class_of.(ins.(0))) then
-      qpush_bounded st p (st.base_sig + ins.(0));
-    if st.pres.(st.base_cls + st.class_of.(ins.(1))) then qpop p s
+       && st.pres.(st.class_of.(ins.(2)))
+    then qclear p;
+    if st.pres.(st.class_of.(ins.(0))) then
+      qpush_bounded st p ins.(0);
+    if st.pres.(st.class_of.(ins.(1))) then qpop p
   | Stdproc.Pin_event_port ->
-    if st.pres.(st.base_cls + st.class_of.(ins.(1))) then qclear p s;
+    if st.pres.(st.class_of.(ins.(1))) then qclear p;
     (* NOTE: the engine moves in_fifo to frozen_fifo; since [frozen]
        only ever exposes the head at Frozen_time, dropping the old
        frozen content and re-freezing is equivalent observably; the
        in_fifo is cleared after a freeze, matching Engine.commit. *)
-    if st.pres.(st.base_cls + st.class_of.(ins.(0))) then
-      qpush_bounded st p (st.base_sig + ins.(0))
+    if st.pres.(st.class_of.(ins.(0))) then
+      qpush_bounded st p ins.(0)
   | Stdproc.Pout_event_port ->
-    if st.pres.(st.base_cls + st.class_of.(ins.(0))) then
-      qpush_bounded st p (st.base_sig + ins.(0));
-    if st.pres.(st.base_cls + st.class_of.(ins.(1))) then qpop p s
+    if st.pres.(st.class_of.(ins.(0))) then
+      qpush_bounded st p ins.(0);
+    if st.pres.(st.class_of.(ins.(1))) then qpop p
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -478,19 +459,19 @@ let commit_prim st p =
 
 let rec stim_any st ms k =
   k < Array.length ms
-  && (st.stim_p.(st.base_sig + ms.(k)) || stim_any st ms (k + 1))
+  && (st.stim_p.(ms.(k)) || stim_any st ms (k + 1))
 
 let rec check_stim_agree st ms p k =
   if k < Array.length ms then begin
     let i = ms.(k) in
-    if st.stim_p.(st.base_sig + i) <> p then
+    if st.stim_p.(i) <> p then
       errf "instant %d: synchronous inputs %s disagree on presence"
         st.instants st.prog.Prog.names.(i);
     check_stim_agree st ms p (k + 1)
   end
 
 let check_computed st y =
-  if not st.has.(st.base_sig + y) then
+  if not st.has.(y) then
     errf "instant %d: signal %s used before being computed"
       st.instants st.prog.Prog.names.(y)
 
@@ -730,43 +711,37 @@ let compile_impl kp =
         let c2 = if has_reset then class_of.(ins.(2)) else 0 in
         fun st ->
           let p = st.prims.(pi) in
-          let reset_p = has_reset && st.pres.(st.base_cls + c2) in
-          let push_p = st.pres.(st.base_cls + c0) in
-          let pop_p = st.pres.(st.base_cls + c1) in
-          let qlen0 = if reset_p then 0 else p.q_len.(st.scen) in
-          st.pres.(st.base_cls + c) <-
-            pop_p && qlen0 + (if push_p then 1 else 0) > 0
+          let reset_p = has_reset && st.pres.(c2) in
+          let push_p = st.pres.(c0) in
+          let pop_p = st.pres.(c1) in
+          let qlen0 = if reset_p then 0 else p.q_len in
+          st.pres.(c) <- pop_p && qlen0 + (if push_p then 1 else 0) > 0
       | Stdproc.Pin_event_port, 0 ->
         let c1 = class_of.(ins.(1)) in
-        fun st ->
-          let p = st.prims.(pi) in
-          st.pres.(st.base_cls + c) <-
-            st.pres.(st.base_cls + c1) && p.q_len.(st.scen) > 0
+        fun st -> st.pres.(c) <- st.pres.(c1) && st.prims.(pi).q_len > 0
       | Stdproc.Pout_event_port, 0 ->
         let c0 = class_of.(ins.(0)) and c1 = class_of.(ins.(1)) in
         fun st ->
-          let p = st.prims.(pi) in
-          st.pres.(st.base_cls + c) <-
-            st.pres.(st.base_cls + c1)
-            && (st.pres.(st.base_cls + c0) || p.q_len.(st.scen) > 0)
+          st.pres.(c) <-
+            st.pres.(c1) && (st.pres.(c0) || st.prims.(pi).q_len > 0)
       | _, _ -> fun _ -> assert false
     in
     let compile_pres c =
       match pdefs.(c) with
-      | Pfree -> (fun st -> st.pres.(st.base_cls + c) <- false)
+      | Pfree -> (fun st -> st.pres.(c) <- false)
       | Palias src ->
-        fun st -> st.pres.(st.base_cls + c) <- st.pres.(st.base_cls + src)
+        fun st -> st.pres.(c) <- st.pres.(src)
       | Pinput members ->
         let ms = Array.of_list members in
         fun st ->
           let p = stim_any st ms 0 in
           check_stim_agree st ms p 0;
-          st.pres.(st.base_cls + c) <- p
+          st.pres.(c) <- p
       | Pprim (pi, pos) -> compile_prim_pres c pi pos
       | Pderived -> (
         match ctree_of clock_bdd.(c) with
-        | Cleaf b -> fun st -> st.pres.(st.base_cls + c) <- b
-        | ct -> fun st -> st.pres.(st.base_cls + c) <- ceval st ct)
+        | Cleaf b -> fun st -> st.pres.(c) <- b
+        | ct -> fun st -> st.pres.(c) <- ceval st ct)
     in
     let compile_func i c op args =
       let cargs = Array.map catom args in
@@ -774,54 +749,54 @@ let compile_impl kp =
       | K.Pid, 1 ->
         let a = cargs.(0) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             atom_check st a;
-            copy_atom st (st.base_sig + i) a
+            copy_atom st i a
           end
       | K.Pclock, 1 ->
         let a = cargs.(0) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             atom_check st a;
-            set_e st (st.base_sig + i)
+            set_e st i
           end
       | K.Punop Ast.Not, 1 ->
         let a = cargs.(0) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             atom_check st a;
-            set_b st (st.base_sig + i) (not (atom_bool st a))
+            set_b st i (not (atom_bool st a))
           end
       | K.Punop Ast.Neg, 1 ->
         let a = cargs.(0) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             atom_check st a;
             match atom_tag st a with
-            | 0 -> set_i st (st.base_sig + i) (-atom_i st a)
-            | 3 -> set_r st (st.base_sig + i) (-.atom_r st a)
+            | 0 -> set_i st i (-atom_i st a)
+            | 3 -> set_r st i (-.atom_r st a)
             | _ -> everrf st "malformed kernel function application"
           end
       | K.Pif, 3 ->
         let a = cargs.(0) and bt = cargs.(1) and bf = cargs.(2) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             atom_check st a;
             atom_check st bt;
             atom_check st bf;
-            copy_atom st (st.base_sig + i) (if atom_bool st a then bt else bf)
+            copy_atom st i (if atom_bool st a then bt else bf)
           end
       | K.Pbinop bop, 2 ->
         let a = cargs.(0) and b = cargs.(1) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             atom_check st a;
             atom_check st b;
-            exec_binop st (st.base_sig + i) bop a b
+            exec_binop st i bop a b
           end
       | (K.Punop _ | K.Pbinop _ | K.Pif | K.Pid | K.Pclock), _ ->
         fun st ->
-          if st.pres.(st.base_cls + c) then
+          if st.pres.(c) then
             check_args_then_malformed st cargs 0
     in
     let compile_prim_val i c pi pos =
@@ -833,14 +808,14 @@ let compile_impl kp =
         let c2 = if has_reset then class_of.(ins.(2)) else 0 in
         let in0 = ins.(0) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             let p = st.prims.(pi) in
-            let reset_p = has_reset && st.pres.(st.base_cls + c2) in
-            let qlen0 = if reset_p then 0 else p.q_len.(st.scen) in
-            if qlen0 > 0 then copy_queue_head st p (st.base_sig + i)
+            let reset_p = has_reset && st.pres.(c2) in
+            let qlen0 = if reset_p then 0 else p.q_len in
+            if qlen0 > 0 then copy_queue_head st p i
             else begin
               check_computed st in0;
-              copy_sig st (st.base_sig + i) (st.base_sig + in0)
+              copy_sig st i in0
             end
           end
       | (Stdproc.Pfifo | Stdproc.Pfifo_reset), 1 ->
@@ -848,39 +823,34 @@ let compile_impl kp =
         let c0 = class_of.(ins.(0)) and c1 = class_of.(ins.(1)) in
         let c2 = if has_reset then class_of.(ins.(2)) else 0 in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             let p = st.prims.(pi) in
-            let reset_p = has_reset && st.pres.(st.base_cls + c2) in
-            let push_p = st.pres.(st.base_cls + c0) in
-            let pop_p = st.pres.(st.base_cls + c1) in
-            let qlen0 = if reset_p then 0 else p.q_len.(st.scen) in
+            let reset_p = has_reset && st.pres.(c2) in
+            let push_p = st.pres.(c0) in
+            let pop_p = st.pres.(c1) in
+            let qlen0 = if reset_p then 0 else p.q_len in
             let n1 =
               if push_p then (
                 let m = qlen0 + 1 in
                 if m < p.cap then m else p.cap)
               else qlen0
             in
-            set_i st (st.base_sig + i)
-              (if pop_p && n1 > 0 then n1 - 1 else n1)
+            set_i st i (if pop_p && n1 > 0 then n1 - 1 else n1)
           end
       | Stdproc.Pin_event_port, 0 ->
-        fun st ->
-          if st.pres.(st.base_cls + c) then
-            copy_queue_head st st.prims.(pi) (st.base_sig + i)
+        fun st -> if st.pres.(c) then copy_queue_head st st.prims.(pi) i
       | Stdproc.Pin_event_port, 1 ->
-        fun st ->
-          if st.pres.(st.base_cls + c) then
-            set_i st (st.base_sig + i) st.prims.(pi).q_len.(st.scen)
+        fun st -> if st.pres.(c) then set_i st i st.prims.(pi).q_len
       | Stdproc.Pout_event_port, 0 ->
         let in0 = ins.(0) in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             let p = st.prims.(pi) in
-            if p.q_len.(st.scen) = 0 then begin
+            if p.q_len = 0 then begin
               check_computed st in0;
-              copy_sig st (st.base_sig + i) (st.base_sig + in0)
+              copy_sig st i in0
             end
-            else copy_queue_head st p (st.base_sig + i)
+            else copy_queue_head st p i
           end
       | _, _ -> fun _ -> assert false
     in
@@ -889,51 +859,48 @@ let compile_impl kp =
       match prog.Prog.vdefs.(i) with
       | Prog.Vnone ->
         fun st ->
-          if st.pres.(st.base_cls + c) && not st.has.(st.base_sig + i) then
+          if st.pres.(c) && not st.has.(i) then
             errf "instant %d: present signal %s has no value (missing input?)"
               st.instants names.(i)
       | Prog.Vfunc (op, args) -> compile_func i c op args
       | Prog.Vdelay ->
-        fun st ->
-          if st.pres.(st.base_cls + c) then
-            copy_delay_to_sig st (st.base_sig + i)
+        fun st -> if st.pres.(c) then copy_delay_to_sig st i
       | Prog.Vwhen src ->
         let a = catom src in
         fun st ->
-          if st.pres.(st.base_cls + c) then begin
+          if st.pres.(c) then begin
             atom_check st a;
-            copy_atom st (st.base_sig + i) a
+            copy_atom st i a
           end
       | Prog.Vdefault (l, r) -> (
         match l with
         | Prog.Aconst _ ->
           let cl = catom l in
           fun st ->
-            if st.pres.(st.base_cls + c) then
-              copy_atom st (st.base_sig + i) cl
+            if st.pres.(c) then copy_atom st i cl
         | Prog.Avar y -> (
           let cy = class_of.(y) in
           match r with
           | Prog.Aconst _ ->
             let cr = catom r in
             fun st ->
-              if st.pres.(st.base_cls + c) then
-                if st.pres.(st.base_cls + cy) then begin
+              if st.pres.(c) then
+                if st.pres.(cy) then begin
                   check_computed st y;
-                  copy_sig st (st.base_sig + i) (st.base_sig + y)
+                  copy_sig st i y
                 end
-                else copy_atom st (st.base_sig + i) cr
+                else copy_atom st i cr
           | Prog.Avar z ->
             let cz = class_of.(z) in
             fun st ->
-              if st.pres.(st.base_cls + c) then
-                if st.pres.(st.base_cls + cy) then begin
+              if st.pres.(c) then
+                if st.pres.(cy) then begin
                   check_computed st y;
-                  copy_sig st (st.base_sig + i) (st.base_sig + y)
+                  copy_sig st i y
                 end
-                else if st.pres.(st.base_cls + cz) then begin
+                else if st.pres.(cz) then begin
                   check_computed st z;
-                  copy_sig st (st.base_sig + i) (st.base_sig + z)
+                  copy_sig st i z
                 end
                 else
                   errf "instant %d: merge %s present with both branches absent"
@@ -956,17 +923,15 @@ let compile_impl kp =
   | Invalid_argument m -> Error m
 
 (* a fresh mutable instance over a (possibly shared) plan *)
-let instantiate ?(scenarios = 1) pl =
+let instantiate pl =
   let prog = pl.p_prog in
   let n = prog.Prog.n in
-  let k = scenarios in
-  let nc = pl.p_nclasses in
   let st =
     { pl;
       prog;
       calc = pl.p_calc;
       class_of = pl.p_class_of;
-      nclasses = nc;
+      nclasses = pl.p_nclasses;
       pdefs = pl.p_pdefs;
       clock_bdd = pl.p_clock_bdd;
       bddvars = pl.p_bddvars;
@@ -974,42 +939,35 @@ let instantiate ?(scenarios = 1) pl =
       ops = pl.p_ops;
       n_free = pl.p_n_free;
       n;
-      nscen = k;
-      scen = 0;
-      base_sig = 0;
-      base_cls = 0;
-      ri = Array.make (k * n) 0;
-      rr = Array.make (k * n) 0.;
-      rs = Array.make (k * n) "";
-      tg = Array.make (k * n) 0;
-      has = Array.make (k * n) false;
-      stim_p = Array.make (k * n) false;
-      pres = Array.make (k * nc) false;
-      di = Array.make (k * n) 0;
-      dr = Array.make (k * n) 0.;
-      ds = Array.make (k * n) "";
-      dtg = Array.make (k * n) 0;
+      ri = Array.make n 0;
+      rr = Array.make n 0.;
+      rs = Array.make n "";
+      tg = Array.make n 0;
+      has = Array.make n false;
+      stim_p = Array.make n false;
+      pres = Array.make pl.p_nclasses false;
+      di = Array.make n 0;
+      dr = Array.make n 0.;
+      ds = Array.make n "";
+      dtg = Array.make n 0;
       prims =
         Array.map
           (fun lp ->
             let cap = max 1 lp.Prog.lp_capacity in
             { lp; cap;
-              q_ri = Array.make (k * cap) 0;
-              q_rr = Array.make (k * cap) 0.;
-              q_rs = Array.make (k * cap) "";
-              q_tg = Array.make (k * cap) 0;
-              q_len = Array.make k 0;
-              q_head = Array.make k 0;
-              overflows = Array.make k 0 })
+              q_ri = Array.make cap 0;
+              q_rr = Array.make cap 0.;
+              q_rs = Array.make cap "";
+              q_tg = Array.make cap 0;
+              q_len = 0;
+              q_head = 0 })
           prog.Prog.prims;
-      traces = Array.init k (fun _ -> Trace.create pl.p_decls);
+      trace = Trace.create pl.p_decls;
       instants = 0;
       recording = true }
   in
-  for s = 0 to k - 1 do
-    for i = 0 to n - 1 do
-      set_delay_slot st ((s * n) + i) prog.Prog.delay_init.(i)
-    done
+  for i = 0 to n - 1 do
+    set_delay_slot st i prog.Prog.delay_init.(i)
   done;
   st
 
@@ -1070,13 +1028,6 @@ let compile kp =
   Metrics.incr m_compilations;
   Result.map (fun pl -> instantiate pl) (plan_of kp)
 
-let compile_scenarios kp ~scenarios =
-  if scenarios < 1 then Error "scenarios must be >= 1"
-  else begin
-    Metrics.incr m_compilations;
-    Result.map (fun pl -> instantiate ~scenarios pl) (plan_of kp)
-  end
-
 let compile_uncached kp =
   Metrics.incr m_compilations;
   Metrics.incr m_plan_builds;
@@ -1084,83 +1035,74 @@ let compile_uncached kp =
   (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
   Result.map (fun pl -> instantiate pl) r
 
-let fork st = instantiate ~scenarios:st.nscen st.pl
+let fork st = instantiate st.pl
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let select_scenario st s =
-  st.scen <- s;
-  st.base_sig <- s * st.n;
-  st.base_cls <- s * st.nclasses
-
-let scenarios st = st.nscen
 let n_signals st = st.n
 let signal_index st x = Prog.index_opt st.prog x
 let signal_name st i = st.prog.Prog.names.(i)
 let is_input st i = st.prog.Prog.is_input.(i)
 
 let stim_clear st =
-  Array.fill st.has st.base_sig st.n false;
-  Array.fill st.stim_p st.base_sig st.n false
+  Array.fill st.has 0 st.n false;
+  Array.fill st.stim_p 0 st.n false
 
 let set_stim st i v =
   if i < 0 || i >= st.n then errf "stimulus index %d out of range" i;
   if not st.prog.Prog.is_input.(i) then
     errf "stimulus for non-input signal %s" st.prog.Prog.names.(i);
-  let j = st.base_sig + i in
-  st.stim_p.(j) <- true;
-  set_slot_value st j v
+  st.stim_p.(i) <- true;
+  set_slot_value st i v
 
 (* presence/value sanity pass; returns the present count *)
-let rec check_present st b i acc =
+let rec check_present st i acc =
   if i >= st.n then acc
-  else if st.pres.(st.base_cls + st.class_of.(i)) then begin
-    if not st.has.(b + i) then
+  else if st.pres.(st.class_of.(i)) then begin
+    if not st.has.(i) then
       errf "instant %d: signal %s present without a value" st.instants
         st.prog.Prog.names.(i);
-    check_present st b (i + 1) (acc + 1)
+    check_present st (i + 1) (acc + 1)
   end
-  else check_present st b (i + 1) acc
+  else check_present st (i + 1) acc
 
-let rec fill_row st b i k row =
+let rec fill_row st i k row =
   if i < st.n then
-    if st.pres.(st.base_cls + st.class_of.(i)) then begin
-      row.(k) <- (i, slot_value st (b + i));
-      fill_row st b (i + 1) (k + 1) row
+    if st.pres.(st.class_of.(i)) then begin
+      row.(k) <- (i, slot_value st i);
+      fill_row st (i + 1) (k + 1) row
     end
-    else fill_row st b (i + 1) k row
+    else fill_row st (i + 1) k row
 
-(* one instant for the selected scenario; stimulus must already be in
-   the stim buffer. Allocation-free in steady state when recording is
-   off (and when on, allocates only the trace row). *)
+(* one instant; stimulus must already be in the stim buffer.
+   Allocation-free in steady state when recording is off (and when on,
+   allocates only the trace row). *)
 let exec_instant st =
-  Array.fill st.pres st.base_cls st.nclasses false;
+  Array.fill st.pres 0 st.nclasses false;
   let ops = st.ops in
   for k = 0 to Array.length ops - 1 do
     (Array.unsafe_get ops k) st
   done;
-  let b = st.base_sig in
   let class_of = st.class_of in
   (* sanity: inputs marked present must be in present classes *)
   for i = 0 to st.n - 1 do
-    if st.stim_p.(b + i) && not st.pres.(st.base_cls + class_of.(i)) then
+    if st.stim_p.(i) && not st.pres.(class_of.(i)) then
       errf "instant %d: input %s present against its derived clock"
         st.instants st.prog.Prog.names.(i)
   done;
-  let cnt = check_present st b 0 0 in
+  let cnt = check_present st 0 0 in
   if st.recording then begin
     let row = Array.make cnt (0, Types.Vevent) in
-    fill_row st b 0 0 row;
-    Trace.push_row st.traces.(st.scen) row
+    fill_row st 0 0 row;
+    Trace.push_row st.trace row
   end;
   (* commit: delays then queues *)
   let delay_src = st.prog.Prog.delay_src in
   for i = 0 to st.n - 1 do
     let src = delay_src.(i) in
-    if src >= 0 && st.pres.(st.base_cls + class_of.(src)) then
-      copy_sig_to_delay st (b + src) (b + i)
+    if src >= 0 && st.pres.(class_of.(src)) then copy_sig_to_delay st src i
   done;
   let prims = st.prims in
   for k = 0 to Array.length prims - 1 do
@@ -1168,47 +1110,14 @@ let exec_instant st =
   done;
   Metrics.incr m_instants
 
-let step_prepared st =
+(* The one guarded step loop behind every stepping call: [n] instants,
+   each prepared by [fill st k] and then executed; the first failing
+   instant ends the loop with its message. *)
+let step_loop st ~n ~fill =
   let t0 = Clock.now_ns () in
   let r =
     try
-      exec_instant st;
-      st.instants <- st.instants + 1;
-      Ok ()
-    with Comp_error m -> Error m
-  in
-  Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
-  r
-
-let rec present_assoc_from st b i =
-  if i >= st.n then []
-  else if st.pres.(st.base_cls + st.class_of.(i)) then
-    (st.prog.Prog.names.(i), slot_value st (b + i))
-    :: present_assoc_from st b (i + 1)
-  else present_assoc_from st b (i + 1)
-
-let out_present st i = st.pres.(st.base_cls + st.class_of.(i))
-
-let out_value st i =
-  let j = st.base_sig + i in
-  if st.pres.(st.base_cls + st.class_of.(i)) && st.has.(j) then
-    Some (slot_value st j)
-  else None
-
-let iter_present st f =
-  let b = st.base_sig in
-  for i = 0 to st.n - 1 do
-    if st.pres.(st.base_cls + st.class_of.(i)) then
-      f i (slot_value st (b + i))
-  done
-
-let run_batched st ~n ~fill =
-  let t0 = Clock.now_ns () in
-  let r =
-    try
-      select_scenario st 0;
       for k = 0 to n - 1 do
-        stim_clear st;
         fill st k;
         exec_instant st;
         st.instants <- st.instants + 1
@@ -1219,59 +1128,47 @@ let run_batched st ~n ~fill =
   Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
   r
 
-let step_many st ~fill =
-  let t0 = Clock.now_ns () in
-  let r =
-    try
-      for s = 0 to st.nscen - 1 do
-        select_scenario st s;
-        stim_clear st;
-        fill st s;
-        exec_instant st
-      done;
-      select_scenario st 0;
-      st.instants <- st.instants + 1;
-      Ok ()
-    with Comp_error m -> Error m
-  in
-  Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
-  r
+let step_prepared st = step_loop st ~n:1 ~fill:(fun _ _ -> ())
+
+let run_batched st ~n ~fill =
+  step_loop st ~n ~fill:(fun st k ->
+      stim_clear st;
+      fill st k)
+
+let rec present_assoc_from st i =
+  if i >= st.n then []
+  else if st.pres.(st.class_of.(i)) then
+    (st.prog.Prog.names.(i), slot_value st i) :: present_assoc_from st (i + 1)
+  else present_assoc_from st (i + 1)
+
+let out_present st i = st.pres.(st.class_of.(i))
+
+let out_value st i =
+  if st.pres.(st.class_of.(i)) && st.has.(i) then Some (slot_value st i)
+  else None
+
+let iter_present st f =
+  for i = 0 to st.n - 1 do
+    if st.pres.(st.class_of.(i)) then f i (slot_value st i)
+  done
 
 let run kp ~stimuli =
-  match compile kp with
-  | Error m -> Error m
-  | Ok st ->
-    (* named stimulus → dense buffer, one instant *)
-    let step_named stim =
-      let t0 = Clock.now_ns () in
-      let r =
-        try
-          stim_clear st;
-          List.iter
-            (fun (x, v) ->
-              match Prog.index_opt st.prog x with
-              | Some i -> set_stim st i v
-              | None -> errf "stimulus for unknown signal %s" x)
-            stim;
-          exec_instant st;
-          st.instants <- st.instants + 1;
-          Ok ()
-        with Comp_error m -> Error m
-      in
-      Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
-      r
-    in
-    let rec go = function
-      | [] -> Ok st.traces.(0)
-      | stim :: rest -> (
-        match step_named stim with
-        | Ok () -> go rest
-        | Error m -> Error m)
-    in
-    go stimuli
+  Result.bind (compile kp) @@ fun st ->
+  let stimuli = Array.of_list stimuli in
+  (* named stimulus → dense buffer *)
+  let fill st k =
+    List.iter
+      (fun (x, v) ->
+        match Prog.index_opt st.prog x with
+        | Some i -> set_stim st i v
+        | None -> errf "stimulus for unknown signal %s" x)
+      stimuli.(k)
+  in
+  Result.map
+    (fun () -> st.trace)
+    (run_batched st ~n:(Array.length stimuli) ~fill)
 
-let trace st = st.traces.(0)
-let trace_of st s = st.traces.(s)
+let trace st = st.trace
 let instant st = st.instants
 
 (* ------------------------------------------------------------------ *)
@@ -1279,14 +1176,14 @@ let instant st = st.instants
 (* ------------------------------------------------------------------ *)
 
 type snapshot = {
-  s_dstate : Types.value array;          (* boxed, nscen * n *)
-  s_queues : Types.value list array;     (* nprims * nscen, front first *)
+  s_dstate : Types.value array;          (* boxed delay registers *)
+  s_queues : Types.value list array;     (* per primitive, front first *)
   s_instants : int;
 }
 
-let queue_list p s =
-  List.init p.q_len.(s) (fun k ->
-      let idx = (s * p.cap) + ((p.q_head.(s) + k) mod p.cap) in
+let queue_list p =
+  List.init p.q_len (fun k ->
+      let idx = (p.q_head + k) mod p.cap in
       match p.q_tg.(idx) with
       | 0 -> Types.Vint p.q_ri.(idx)
       | 1 -> if p.q_ri.(idx) <> 0 then Types.Vbool true else Types.Vbool false
@@ -1295,24 +1192,19 @@ let queue_list p s =
       | _ -> Types.Vstring p.q_rs.(idx))
 
 let snapshot st =
-  let nprims = Array.length st.prims in
-  { s_dstate = Array.init (st.nscen * st.n) (fun j -> delay_boxed st j);
-    s_queues =
-      Array.init (nprims * st.nscen) (fun k ->
-          queue_list st.prims.(k / st.nscen) (k mod st.nscen));
+  { s_dstate = Array.init st.n (delay_boxed st);
+    s_queues = Array.map queue_list st.prims;
     s_instants = st.instants }
 
 let restore st snap =
-  for j = 0 to (st.nscen * st.n) - 1 do
-    set_delay_slot st j snap.s_dstate.(j)
-  done;
+  Array.iteri (set_delay_slot st) snap.s_dstate;
   Array.iteri
     (fun k vs ->
-      let p = st.prims.(k / st.nscen) and s = k mod st.nscen in
-      qclear p s;
+      let p = st.prims.(k) in
+      qclear p;
       List.iter
         (fun v ->
-          let idx = (s * p.cap) + ((p.q_head.(s) + p.q_len.(s)) mod p.cap) in
+          let idx = (p.q_head + p.q_len) mod p.cap in
           (match v with
            | Types.Vint n -> p.q_tg.(idx) <- tg_int; p.q_ri.(idx) <- n
            | Types.Vbool b ->
@@ -1320,8 +1212,8 @@ let restore st snap =
              p.q_ri.(idx) <- (if b then 1 else 0)
            | Types.Vevent -> p.q_tg.(idx) <- tg_event; p.q_ri.(idx) <- 1
            | Types.Vreal r -> p.q_tg.(idx) <- tg_real; p.q_rr.(idx) <- r
-           | Types.Vstring s' -> p.q_tg.(idx) <- tg_string; p.q_rs.(idx) <- s');
-          p.q_len.(s) <- p.q_len.(s) + 1)
+           | Types.Vstring s -> p.q_tg.(idx) <- tg_string; p.q_rs.(idx) <- s);
+          p.q_len <- p.q_len + 1)
         vs)
     snap.s_queues;
   st.instants <- snap.s_instants
@@ -1386,7 +1278,7 @@ let kb_string kb s =
 
 let state_key st kb =
   kb.kpos <- 0;
-  for j = 0 to (st.nscen * st.n) - 1 do
+  for j = 0 to st.n - 1 do
     let t = st.dtg.(j) in
     kb_byte kb t;
     (match t with
@@ -1396,18 +1288,15 @@ let state_key st kb =
   done;
   Array.iter
     (fun p ->
-      for s = 0 to st.nscen - 1 do
-        let len = p.q_len.(s) in
-        kb_int kb len;
-        for k = 0 to len - 1 do
-          let idx = (s * p.cap) + ((p.q_head.(s) + k) mod p.cap) in
-          let t = p.q_tg.(idx) in
-          kb_byte kb t;
-          match t with
-          | 3 -> kb_float kb p.q_rr.(idx)
-          | 4 -> kb_string kb p.q_rs.(idx)
-          | _ -> kb_int kb p.q_ri.(idx)
-        done
+      kb_int kb p.q_len;
+      for k = 0 to p.q_len - 1 do
+        let idx = (p.q_head + k) mod p.cap in
+        let t = p.q_tg.(idx) in
+        kb_byte kb t;
+        match t with
+        | 3 -> kb_float kb p.q_rr.(idx)
+        | 4 -> kb_string kb p.q_rs.(idx)
+        | _ -> kb_int kb p.q_ri.(idx)
       done)
     st.prims;
   Digest.subbytes kb.kbytes 0 kb.kpos
@@ -1415,7 +1304,7 @@ let state_key st kb =
 let plan_length st = Array.length st.plan
 let free_classes st = st.n_free
 
-let present_assoc st = present_assoc_from st st.base_sig 0
+let present_assoc st = present_assoc_from st 0
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic introspection: a read-only view of the compiled plan so    *)
@@ -1523,7 +1412,7 @@ let to_c ?(name = "signal_step") st =
     for c = 0 to st.nclasses - 1 do
       pf "static int %s;\n" (p c)
     done;
-    (* delay state (scenario 0 registers hold the current values) *)
+    (* delay state (the instance's registers hold the current values) *)
     for i = 0 to nsignals - 1 do
       if prog.Prog.delay_src.(i) >= 0 then begin
         match delay_boxed st i with

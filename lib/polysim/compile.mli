@@ -42,27 +42,16 @@ val compile : Signal_lang.Kernel.kprocess -> (t, string) result
     domains may each step their own instance concurrently (the shared
     plan is read-only at step time). *)
 
-val compile_scenarios :
-  Signal_lang.Kernel.kprocess -> scenarios:int -> (t, string) result
-(** Like {!compile}, but the instance carries [scenarios] independent
-    copies of the mutable state (delay registers, FIFO queues,
-    presence bits, stimulus buffer, trace) in scenario-striped
-    structure-of-arrays layout, all driven in lockstep by
-    {!step_many} over the one shared plan. [scenarios] must be
-    [>= 1]. *)
-
 val compile_uncached : Signal_lang.Kernel.kprocess -> (t, string) result
 (** [compile] bypassing the plan memo: always rebuilds. For benches
     that want to measure a cold compilation, and tests. *)
 
 val fork : t -> t
-(** A fresh instance (initial state, empty traces, same scenario
-    count) over the same already-built plan. Never fails: no
-    re-compilation happens. *)
-
-val scenarios : t -> int
-(** Number of lockstep scenarios carried by this instance (1 unless
-    built by {!compile_scenarios}). *)
+(** A fresh instance (initial state, empty trace) over the same
+    already-built plan. Never fails: no re-compilation happens. The
+    fork shares nothing mutable with its parent, so stepping one never
+    changes the other's trace or state, and each may be stepped on its
+    own domain. *)
 
 (** {1 Dense stimulus ABI}
 
@@ -87,8 +76,8 @@ val is_input : t -> int -> bool
 (** Whether dense index [i] names an input signal (stimulus target). *)
 
 val stim_clear : t -> unit
-(** Reset the stimulus buffer of the selected scenario: every input
-    becomes absent for the next instant. *)
+(** Reset the stimulus buffer: every input becomes absent for the next
+    instant. *)
 
 val set_stim : t -> int -> Signal_lang.Types.value -> unit
 (** Mark input [i] present with the given value for the next instant.
@@ -118,18 +107,11 @@ val present_assoc :
 (** {1 Stepping} *)
 
 val run_batched : t -> n:int -> fill:(t -> int -> unit) -> (unit, string) result
-(** Execute [n] instants in one call over scenario 0, with plan and
-    metrics lookups hoisted out of the loop and no intermediate lists.
+(** Execute [n] instants in one call, with plan and metrics lookups
+    hoisted out of the loop and no intermediate lists.
     [fill c k] must set the stimulus for relative instant [k] via
     {!set_stim} (the buffer is cleared before each call). With
     recording off the loop does not allocate per instant. *)
-
-val step_many : t -> fill:(t -> int -> unit) -> (unit, string) result
-(** Advance {e every} scenario of the instance by one instant, in
-    lockstep over the shared plan. [fill c s] sets scenario [s]'s
-    stimulus via {!set_stim}. Per-scenario results land in
-    {!trace_of}; each scenario behaves exactly as an independent
-    instance driven with the same stimuli (tested). *)
 
 val run :
   Signal_lang.Kernel.kprocess ->
@@ -137,10 +119,6 @@ val run :
   (Trace.t, string) result
 
 val trace : t -> Trace.t
-(** Trace of scenario 0. *)
-
-val trace_of : t -> int -> Trace.t
-(** Trace of scenario [s]. *)
 
 val instant : t -> int
 

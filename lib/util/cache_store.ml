@@ -1,16 +1,38 @@
 (* Persistent content-addressed cache store. See the interface for the
    format and safety contract. *)
 
-let magic = "POLYCACHE1\n"
+(* The magic names the header layout: files of an older layout are
+   rejected before their header is decoded. *)
+let magic = "POLYCACHE2\n"
 let format_version = 1
 let suffix = ".pcache"
 let default_max_bytes = 64 * 1024 * 1024
+
+(* A payload is only safe to decode in the build that wrote it: another
+   build may have changed the record layout behind a stage. The
+   fingerprint is the digest of the running executable, taken once per
+   process; when the executable cannot be read, a per-process value
+   makes every entry of other processes a miss. *)
+let build_fp : string option Atomic.t = Atomic.make None
+
+let build_fingerprint () =
+  match Atomic.get build_fp with
+  | Some fp -> fp
+  | None ->
+    let fp =
+      try Digest.file Sys.executable_name
+      with Sys_error _ ->
+        Printf.sprintf "pid %d at %.6f" (Unix.getpid ()) (Unix.gettimeofday ())
+    in
+    if Atomic.compare_and_set build_fp None (Some fp) then fp
+    else Option.get (Atomic.get build_fp)
 
 (* Per-entry on-disk header, marshalled right after the magic string.
    The payload (h_len bytes, MD5 = h_md5) follows. *)
 type header = {
   h_version : int;
   h_ocaml : string;
+  h_build : string;  (* fingerprint of the writing build *)
   h_stage : string;
   h_key : string;
   h_len : int;
@@ -95,38 +117,38 @@ let entry_basename ~stage ~key =
 
 let entry_path t base = Filename.concat t.t_dir base
 
-(* Read and fully verify one entry file. Returns the payload string.
+(* Magic and header of an open entry file, with every stamp checked.
    Raises on any defect; callers translate that into a miss. *)
-let read_verified path =
+let read_checked_header ic =
+  let m = really_input_string ic (String.length magic) in
+  if not (String.equal m magic) then failwith "bad magic";
+  let h : header = Marshal.from_channel ic in
+  if h.h_version <> format_version then failwith "version mismatch";
+  if not (String.equal h.h_ocaml Sys.ocaml_version) then
+    failwith "compiler mismatch";
+  if not (String.equal h.h_build (build_fingerprint ())) then
+    failwith "build mismatch";
+  h
+
+let with_entry_file path f =
   let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let m = really_input_string ic (String.length magic) in
-      if not (String.equal m magic) then failwith "bad magic";
-      let h : header = Marshal.from_channel ic in
-      if h.h_version <> format_version then failwith "version mismatch";
-      if not (String.equal h.h_ocaml Sys.ocaml_version) then
-        failwith "compiler mismatch";
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+(* Read and fully verify one entry file. Returns the payload string. *)
+let read_verified path =
+  with_entry_file path (fun ic ->
+      let h = read_checked_header ic in
       let payload = really_input_string ic h.h_len in
       if not (String.equal (Digest.string payload) h.h_md5) then
         failwith "integrity hash mismatch";
       (h, payload))
 
-(* Open-time validation: magic, header sanity and length only — the
+(* Open-time validation: magic, header stamps and length only — the
    payload hash is checked again on every [get], so the scan costs one
    small read per entry instead of a full re-hash of the store. *)
 let read_header path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let m = really_input_string ic (String.length magic) in
-      if not (String.equal m magic) then failwith "bad magic";
-      let h : header = Marshal.from_channel ic in
-      if h.h_version <> format_version then failwith "version mismatch";
-      if not (String.equal h.h_ocaml Sys.ocaml_version) then
-        failwith "compiler mismatch";
+  with_entry_file path (fun ic ->
+      let h = read_checked_header ic in
       if in_channel_length ic < pos_in ic + h.h_len then
         failwith "truncated payload";
       h)
@@ -166,6 +188,8 @@ let open_store ?(max_bytes = default_max_bytes) dir =
     if not (Sys.is_directory dir) then failwith (dir ^ ": not a directory")
   with
   | () ->
+    (* digest the executable here rather than in the first get *)
+    ignore (build_fingerprint ());
     let t =
       { t_dir = dir; t_max_bytes = max_bytes;
         t_index = Hashtbl.create 64; t_lock = Mutex.create ();
@@ -259,8 +283,8 @@ let put t ~stage ~key v =
   with_lock t (fun () ->
       let header =
         { h_version = format_version; h_ocaml = Sys.ocaml_version;
-          h_stage = stage; h_key = key; h_len = String.length payload;
-          h_md5 = Digest.string payload }
+          h_build = build_fingerprint (); h_stage = stage; h_key = key;
+          h_len = String.length payload; h_md5 = Digest.string payload }
       in
       let base = entry_basename ~stage ~key in
       t.t_tmp_seq <- t.t_tmp_seq + 1;

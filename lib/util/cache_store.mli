@@ -6,9 +6,13 @@
     process replay pipeline stages it has never run.
 
     Format and safety:
-    - every entry file starts with a magic string and a format/version
-      stamp (including [Sys.ocaml_version], since payloads are
-      [Marshal]ed and the marshalling format is compiler-specific);
+    - every entry file starts with a magic string naming the header
+      layout, then a format/version stamp (including
+      [Sys.ocaml_version], since payloads are [Marshal]ed and the
+      marshalling format is compiler-specific) and a fingerprint of
+      the build that wrote it (the digest of the executable, taken once
+      per process at the first {!open_store}): a payload is never
+      decoded by a build whose types may differ from the writer's;
     - the payload is guarded by an MD5 integrity hash and a length
       field — truncation, bit flips or a stamp mismatch are treated as
       a cache miss (the damaged file is deleted), never a crash;
@@ -22,10 +26,10 @@
     Payloads must be pure data (no closures, no custom blocks with
     identity, nothing relying on physical sharing); [put] rejects
     functional values with [Invalid_argument]. Type safety across the
-    untyped [Marshal] boundary is the caller's responsibility: a given
-    [stage] tag must always store values of one type. The version
-    stamp protects against reading payloads written by a different
-    binary format, not against same-version type confusion.
+    untyped [Marshal] boundary is the caller's responsibility within
+    one build: a given [stage] tag must always store values of one
+    type. Across builds, the fingerprint turns every entry of another
+    build into a miss.
 
     All operations are protected by a per-handle mutex and are safe to
     call from multiple domains sharing one handle. Two separate
@@ -42,8 +46,8 @@ type stats = {
   misses : int;  (** [get] calls that found nothing (this handle) *)
   writes : int;  (** successful [put]s (this handle) *)
   corrupt : int;
-      (** entries discarded on read: bad magic, stamp mismatch,
-          truncation or integrity-hash failure (this handle) *)
+      (** entries discarded on read: bad magic, stamp or build
+          mismatch, truncation or integrity-hash failure (this handle) *)
   evictions : int;  (** entries evicted by the LRU bound (this handle) *)
 }
 
@@ -60,8 +64,8 @@ val dir : t -> string
 val get : t -> stage:string -> key:string -> 'a option
 (** Look up the entry for [(stage, key)]. Any defect in the stored
     file — wrong magic, version stamp from another compiler or store
-    revision, truncated payload, integrity-hash mismatch — counts as a
-    miss and deletes the file. *)
+    revision, fingerprint of another build, truncated payload,
+    integrity-hash mismatch — counts as a miss and deletes the file. *)
 
 val put : t -> stage:string -> key:string -> 'a -> unit
 (** Store [v] under [(stage, key)], replacing any previous entry, then

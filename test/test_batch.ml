@@ -1,6 +1,7 @@
-(* Batched and lockstep multi-scenario stepping over the dense
-   stimulus ABI: byte-identical to the one-instant step loop and the
-   fixpoint interpreter, and allocation-flat in steady state. *)
+(* Batched stepping over the dense stimulus ABI and multi-scenario
+   simulation over forked instances: byte-identical to the one-instant
+   step loop and the fixpoint interpreter, and allocation-flat in
+   steady state. *)
 
 module Ast = Signal_lang.Ast
 module Types = Signal_lang.Types
@@ -66,41 +67,36 @@ let test_run_batched_case_study () =
       (Trace.equal t_engine (Compile.trace c_batch))
   | Error m -> Alcotest.fail m
 
-(* step_many: each scenario of a lockstep run equals an independent
-   instance driven with the same stimuli *)
-let test_step_many_case_study () =
+(* a fork shares the plan but no mutable state: stepping it leaves the
+   parent's trace and state key untouched *)
+let test_fork_independence () =
   let kp = (analyzed ()).Polychrony.Pipeline.kernel in
-  let horizon = 48 and k = 4 in
-  (* scenario s delays the environment arrival by s base ticks *)
-  let stim s t =
-    ("tick", ve) :: (if t = s then [ ("env_pGo", vi 1) ] else [])
-  in
-  let c = Result.get_ok (Compile.compile_scenarios kp ~scenarios:k) in
-  Alcotest.(check int) "carries k scenarios" k (Compile.scenarios c);
-  for t = 0 to horizon - 1 do
-    match Compile.step_many c ~fill:(fun c s -> fill_assoc c (stim s t)) with
-    | Ok () -> ()
-    | Error m -> Alcotest.fail m
-  done;
-  Alcotest.(check int) "one instant per lockstep call" horizon
-    (Compile.instant c);
-  for s = 0 to k - 1 do
-    let ci = Result.get_ok (Compile.compile kp) in
-    step_all ci (List.init horizon (stim s));
-    Alcotest.(check bool)
-      (Printf.sprintf "scenario %d = independent run" s)
-      true
-      (Trace.equal (Compile.trace_of c s) (Compile.trace ci))
-  done;
-  (* distinct environments must yield distinct traces: the lockstep
-     striping is not just replicating scenario 0 *)
-  Alcotest.(check bool) "scenarios differ" false
-    (Trace.equal (Compile.trace_of c 0) (Compile.trace_of c 1))
+  let history = List.init 12 case_stim in
+  let parent = Result.get_ok (Compile.compile kp) in
+  step_all parent history;
+  let kb = Compile.keybuf () in
+  let key = Compile.state_key parent kb in
+  let child = Compile.fork parent in
+  Alcotest.(check int) "a fork starts with an empty trace" 0
+    (Trace.length (Compile.trace child));
+  (* a different environment phase, well past the parent's horizon *)
+  step_all child
+    (List.init 40 (fun t ->
+         ("tick", ve) :: (if t = 3 then [ ("env_pGo", vi 1) ] else [])));
+  Alcotest.(check string) "parent state key unchanged" key
+    (Compile.state_key parent kb);
+  Alcotest.(check int) "parent instant unchanged" 12 (Compile.instant parent);
+  let witness = Result.get_ok (Compile.compile kp) in
+  step_all witness history;
+  Alcotest.(check bool) "parent trace unchanged" true
+    (Trace.equal (Compile.trace parent) (Compile.trace witness))
 
-(* the same lockstep-vs-independent law at the pipeline level *)
+(* every scenario of Pipeline.simulate_scenarios equals an independent
+   compiled simulation; K = 5 exceeds the lane count of a small host,
+   so some lane runs several forks *)
 let test_pipeline_scenarios () =
   let a = analyzed () in
-  let k = 3 in
+  let k = 5 in
   let envs s t = if t = s then [ ("env_pGo", 1) ] else [] in
   match Polychrony.Pipeline.simulate_scenarios ~envs ~scenarios:k a with
   | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
@@ -113,14 +109,31 @@ let test_pipeline_scenarios () =
         Alcotest.(check bool)
           (Printf.sprintf "scenario %d = independent simulate" s)
           true (Trace.equal traces.(s) tr)
-    done
+    done;
+    (* distinct environments must yield distinct traces: the forks are
+       not replicating scenario 0 *)
+    Alcotest.(check bool) "scenarios differ" false
+      (Trace.equal traces.(0) traces.(1))
 
-(* random kernels: batched and lockstep stepping agree with the
-   one-instant loop (reusing the clock-consistent generator of
-   test_compile) *)
+(* a scenario count below 1 is a parameter error, not a compile error *)
+let test_pipeline_scenarios_count () =
+  let a = analyzed () in
+  List.iter
+    (fun k ->
+      match Polychrony.Pipeline.simulate_scenarios ~scenarios:k a with
+      | Ok _ -> Alcotest.failf "scenarios:%d accepted" k
+      | Error ds ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "scenarios:%d code" k)
+          [ "SIM-002" ]
+          (List.map (fun d -> d.Putil.Diag.code) ds))
+    [ 0; -2 ]
+
+(* random kernels: batched stepping agrees with the one-instant loop
+   (reusing the clock-consistent generator of test_compile) *)
 let prop_batched_equivalence =
   QCheck2.Test.make
-    ~name:"batched and lockstep = one-instant step on random programs"
+    ~name:"batched = one-instant step on random programs"
     ~count:150
     QCheck2.Gen.(pair Test_compile.gen_program Test_compile.gen_stimuli)
     (fun (p, stims) ->
@@ -156,44 +169,10 @@ let prop_batched_equivalence =
           if not steps_ok then true (* runtime error: skip *)
           else
             let c_batch = Compile.fork c_step in
-            match
-              Compile.run_batched c_batch ~n:horizon ~fill
-            with
+            match Compile.run_batched c_batch ~n:horizon ~fill with
             | Error _ -> false
             | Ok () ->
-              Trace.equal (Compile.trace c_step) (Compile.trace c_batch)
-              &&
-              let k = 3 in
-              (* scenario s runs the stimulus sequence rotated by s *)
-              let stim_of s t = (t + s) mod horizon in
-              let c_many =
-                Result.get_ok (Compile.compile_scenarios kp ~scenarios:k)
-              in
-              let lockstep_ok = ref true in
-              for t = 0 to horizon - 1 do
-                match
-                  Compile.step_many c_many
-                    ~fill:(fun c s -> fill c (stim_of s t))
-                with
-                | Ok () -> ()
-                | Error _ -> lockstep_ok := false
-              done;
-              !lockstep_ok
-              && List.for_all
-                   (fun s ->
-                     let ci = Result.get_ok (Compile.compile kp) in
-                     let indep_ok = ref true in
-                     for t = 0 to horizon - 1 do
-                       Compile.stim_clear ci;
-                       fill ci (stim_of s t);
-                       match Compile.step_prepared ci with
-                       | Ok () -> ()
-                       | Error _ -> indep_ok := false
-                     done;
-                     !indep_ok
-                     && Trace.equal (Compile.trace_of c_many s)
-                          (Compile.trace ci))
-                   (List.init k Fun.id))))
+              Trace.equal (Compile.trace c_step) (Compile.trace c_batch))))
 
 (* the tentpole guarantee: the steady-state batched loop performs no
    per-instant allocation once recording is off *)
@@ -235,10 +214,11 @@ let suite =
   [ ("batch",
      [ Alcotest.test_case "run_batched on case study" `Quick
          test_run_batched_case_study;
-       Alcotest.test_case "step_many on case study" `Quick
-         test_step_many_case_study;
+       Alcotest.test_case "fork independence" `Quick test_fork_independence;
        Alcotest.test_case "pipeline scenarios" `Quick
          test_pipeline_scenarios;
+       Alcotest.test_case "pipeline scenario count < 1" `Quick
+         test_pipeline_scenarios_count;
        Alcotest.test_case "steady-state allocation flat" `Quick
          test_steady_state_allocation_flat ]
      @ qsuite) ]

@@ -191,6 +191,75 @@ let test_foreign_file_quarantined () =
           (Cache_store.get t2 ~stage:"q" ~key:"k"))
 
 (* ------------------------------------------------------------------ *)
+(* Entries of another build                                           *)
+(* ------------------------------------------------------------------ *)
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+let write_bytes path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* [forge entry] turns the bytes of a genuine entry into what another
+   build would have left at the same path. Both the open handle and a
+   fresh one (scanning the directory, as a new process does) must count
+   the planted file as a miss: no crash, [get] returns [None]. *)
+let foreign_entry_case forge () =
+  with_store (fun t dir ->
+      Cache_store.put t ~stage:"b" ~key:"k" "payload";
+      let path =
+        match entry_files dir with
+        | [ p ] -> p
+        | files ->
+          Alcotest.failf "expected one entry file, found %d" (List.length files)
+      in
+      let planted = forge (read_bytes path) in
+      write_bytes path planted;
+      let misses t = (Cache_store.stats t).Cache_store.misses in
+      Alcotest.(check (option string)) "open handle misses" None
+        (Cache_store.get t ~stage:"b" ~key:"k");
+      Alcotest.(check int) "miss counted" 1 (misses t);
+      write_bytes path planted;
+      match Cache_store.open_store dir with
+      | Error m -> Alcotest.fail ("reopen: " ^ m)
+      | Ok t2 ->
+        Alcotest.(check int) "scan discards the entry" 1
+          (Cache_store.stats t2).Cache_store.corrupt;
+        Alcotest.(check (option string)) "fresh handle misses" None
+          (Cache_store.get t2 ~stage:"b" ~key:"k");
+        Alcotest.(check int) "miss counted" 1 (misses t2))
+
+(* the same header with another build's fingerprint *)
+let foreign_fingerprint entry =
+  let fp = Digest.file Sys.executable_name in
+  let i =
+    try Str.search_forward (Str.regexp_string fp) entry 0
+    with Not_found -> Alcotest.fail "no build fingerprint in the entry header"
+  in
+  String.sub entry 0 i
+  ^ Digest.string "another build"
+  ^ String.sub entry (i + 16) (String.length entry - i - 16)
+
+(* the header layout every entry had before the build fingerprint *)
+type v1_header = {
+  v_version : int;
+  v_ocaml : string;
+  v_stage : string;
+  v_key : string;
+  v_len : int;
+  v_md5 : string;
+}
+
+let v1_entry _ =
+  let payload = Marshal.to_string "payload" [ Marshal.No_sharing ] in
+  "POLYCACHE1\n"
+  ^ Marshal.to_string
+      { v_version = 1; v_ocaml = Sys.ocaml_version; v_stage = "b"; v_key = "k";
+        v_len = String.length payload; v_md5 = Digest.string payload }
+      []
+  ^ payload
+
+let test_foreign_fingerprint_is_miss = foreign_entry_case foreign_fingerprint
+let test_v1_layout_is_miss = foreign_entry_case v1_entry
+
+(* ------------------------------------------------------------------ *)
 (* LRU eviction                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -288,6 +357,10 @@ let suite =
         Alcotest.test_case "bit flip is a miss" `Quick test_bitflip_is_miss;
         Alcotest.test_case "foreign file quarantined" `Quick
           test_foreign_file_quarantined;
+        Alcotest.test_case "foreign build is a miss" `Quick
+          test_foreign_fingerprint_is_miss;
+        Alcotest.test_case "previous header layout is a miss" `Quick
+          test_v1_layout_is_miss;
         Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
         Alcotest.test_case "parallel store and memos" `Quick
           test_parallel_store_and_memos ] ) ]
