@@ -18,20 +18,22 @@
 type t
 
 val analyze : Signal_lang.Kernel.kprocess -> t
-(** Analyze a kernel process. Memoized on {!Signal_lang.Kernel.digest}:
+(** Analyze a kernel process. Memoized on {!Signal_lang.Kernel.digest}
+    in a {!Putil.Memo} of 256 entries that clears when full:
     structurally equal processes share one analysis (and one BDD
     manager), so repeated pipeline runs pay for the clock calculus
-    once. The memo table itself is safe to consult from several
-    domains, and so is the returned [t]: queries that conjoin BDDs
-    ({!is_null}, {!subclock}, {!exclusive}, {!null_signals},
-    {!pp_clock}) serialize on a per-state mutex, since BDD application
-    mutates the shared manager's unique table and caches. Pure array
-    reads (class ids, clocks, representatives) stay lock-free. *)
+    once. The memo counts its traffic as [incr.calculus.ran] /
+    [incr.calculus.skipped] and computes under its own lock, so it is
+    safe to consult from several domains. So is the returned [t]:
+    queries that conjoin BDDs ({!is_null}, {!subclock}, {!exclusive},
+    {!null_signals}, {!pp_clock}) serialize on a per-state mutex,
+    since BDD application mutates the shared manager's unique table
+    and caches. Pure array reads (class ids, clocks, representatives)
+    stay lock-free. *)
 
 val reset_cache : unit -> unit
-(** Drop the analysis memo table (cold-start benchmarking; safe to
-    call concurrently with {!analyze}). Existing [t] values stay
-    valid. *)
+(** Drop the analysis memo (cold-start benchmarking; safe to call
+    concurrently with {!analyze}). Existing [t] values stay valid. *)
 
 (** {1 Queries} *)
 

@@ -58,31 +58,31 @@ type analyzed = {
 (* ------------------------------------------------------------------ *)
 
 (* Each stage of [analyze] is a total function of its input, so a
-   session caches every stage output under a content digest of that
-   input. Re-analyzing edited source reruns only the prefix whose
-   digests changed: the parse and instance stages key on the source
-   text, but the expensive back half — typecheck, normalization, clock
-   calculus and the boolean analyses — keys on the digest of the
-   {e generated program} (resp. kernel). With the scheduler-exogenous
-   translation mode ({!Trans.System_trans.External}) a timing-only
-   edit leaves the generated program byte-identical, so editing one
-   thread's period reruns parse/instantiate/translate and skips
-   everything downstream. The [incr.<stage>.ran] / [.skipped] metrics
-   count the traffic.
+   session memoizes every stage output under a content digest of that
+   input ({!Putil.Memo}). Re-analyzing edited source reruns only the
+   prefix whose digests changed: the parse and instance stages key on
+   the source text, but the expensive back half — typecheck,
+   normalization, clock calculus and the boolean analyses — keys on
+   the digest of the {e generated program} (resp. kernel). With the
+   scheduler-exogenous translation mode ({!Trans.System_trans.External})
+   a timing-only edit leaves the generated program byte-identical, so
+   editing one thread's period reruns parse/instantiate/translate and
+   skips everything downstream. The [incr.<stage>.ran] / [.skipped]
+   metrics count the traffic.
 
-   Caches are single-slot (latest run wins): the session serves the
-   edit-recheck loop, not a multi-model build system. The behaviour
-   [registry] is assumed stable across one session (closures cannot be
+   Stage memos hold one entry ([~cap:1], latest key wins): the session
+   serves the edit-recheck loop, not a multi-model build system.
+   Per-process units live in memos slotted by process (resp. model)
+   name: one entry per process, replaced when that process's key
+   changes. The whole-stage memos above them short-circuit the
+   unchanged-program case in one digest comparison, so per-process
+   traffic only happens when the generated program actually changed.
+   The store tags name what persists: [instantiate] and [translate]
+   carry interned Uids and stay memory-only. The behaviour [registry]
+   is assumed stable across one session (closures cannot be
    digested). *)
 
-type 'v slot = (string * 'v) option ref
-
-(* Per-process units live in name-keyed tables: one entry per process
-   (resp. model), replaced when that process's key changes. The
-   whole-stage slots above them short-circuit the unchanged-program
-   case in one digest comparison, so per-process traffic only happens
-   when the generated program actually changed. *)
-type 'v proc_tbl = (string, string * 'v) Hashtbl.t
+module Memo = Putil.Memo
 
 type typechecked =
   Signal_lang.Typecheck.error list
@@ -107,217 +107,63 @@ type analyses = {
 
 type session = {
   s_label : string; (* observation-scope label: one scope per session *)
-  s_store : Putil.Cache_store.t option;
-  s_parse : Aadl.Syntax.package list slot;
-  s_instance : Aadl.Instance.t slot;
-  s_translate : (Trans.System_trans.output * Putil.Diag.t list) slot;
+  s_parse : Aadl.Syntax.package list Memo.t;
+  s_instance : Aadl.Instance.t Memo.t;
+  s_translate : (Trans.System_trans.output * Putil.Diag.t list) Memo.t;
   s_typecheck :
     (Signal_lang.Typecheck.error list
     * Signal_lang.Ast.typed Signal_lang.Ast.gprogram)
-      slot;
-  s_tc_procs : typechecked proc_tbl;
-  s_normalize : normalized slot;
-  s_kernels : K.kprocess option proc_tbl;
+      Memo.t;
+  s_tc_procs : typechecked Memo.t;
+  s_normalize : normalized Memo.t;
+  s_kernels : K.kprocess option Memo.t;
       (* [None] records a model normalization failure: the linker falls
          back to inlining that model, reproducing the original error *)
-  s_analyses : analyses slot;
-  s_panas : proc_analysis proc_tbl;
-  s_glue : glue_analysis proc_tbl;  (* single "glue" entry *)
+  s_analyses : analyses Memo.t;
+  s_panas : proc_analysis Memo.t;
+  s_glue : glue_analysis Memo.t;  (* single "glue" slot *)
 }
+
+(* [cap] overrides every memo's bound: [Some 0] builds memos that hold
+   nothing, for calls made without a session *)
+let make_session ?store ?cap label =
+  let stage ?tag name =
+    Memo.create ?store ?tag ~cap:(Option.value cap ~default:1)
+      ("incr." ^ name)
+  and unit ~tag name =
+    Memo.create ?store ~tag ?cap ~per_unit:true ("incr." ^ name)
+  in
+  { s_label = label;
+    s_parse = stage ~tag:"stage.parse" "parse";
+    s_instance = stage "instantiate";
+    s_translate = stage "translate";
+    s_typecheck = stage ~tag:"stage.typecheck" "typecheck";
+    s_tc_procs = unit ~tag:"typecheck.proc" "typecheck";
+    s_normalize = stage ~tag:"stage.normalize" "normalize";
+    s_kernels = unit ~tag:"normalize.proc" "normalize";
+    s_analyses = stage ~tag:"stage.analyses" "analyses";
+    s_panas = unit ~tag:"analysis.proc" "analyses";
+    s_glue = unit ~tag:"analysis.glue" "analyses" }
 
 let session_seq = Atomic.make 0
 
 let new_session ?label ?store () =
-  let label =
-    match label with
-    | Some l -> l
-    | None ->
-      Printf.sprintf "session-%d" (1 + Atomic.fetch_and_add session_seq 1)
-  in
-  { s_label = label;
-    s_store = store;
-    s_parse = ref None;
-    s_instance = ref None;
-    s_translate = ref None;
-    s_typecheck = ref None;
-    s_tc_procs = Hashtbl.create 16;
-    s_normalize = ref None;
-    s_kernels = Hashtbl.create 16;
-    s_analyses = ref None;
-    s_panas = Hashtbl.create 16;
-    s_glue = Hashtbl.create 1 }
+  make_session ?store
+    (match label with
+     | Some l -> l
+     | None ->
+       Printf.sprintf "session-%d" (1 + Atomic.fetch_and_add session_seq 1))
 
-let session_store session = Option.bind session (fun s -> s.s_store)
+(* a call without a session memoizes nothing and counts every stage
+   as ran *)
+let no_session = make_session ~cap:0 ""
+
 let session_label s = s.s_label
-
-(* every stage of a session runs inside the session's observation
-   scope, so concurrent sessions attribute their metrics and trace
-   spans per-scope (the global registry stays the roll-up) *)
-let in_session_scope session f =
-  match session with
-  | Some s -> Putil.Obs.with_scope ~label:s.s_label f
-  | None -> f ()
 
 let in_analyzed_scope a f =
   match a.scope with
   | Some l -> Putil.Obs.with_scope ~label:l f
   | None -> f ()
-
-(* get-or-create per call: the registry lookup is one lock-free atomic
-   load, and concurrent sessions on several domains may reach this
-   simultaneously *)
-let m_stage stage outcome =
-  Putil.Metrics.counter ("incr." ^ stage ^ "." ^ outcome)
-
-(* [stage_r name slot key compute]: cached value on digest match,
-   fresh run otherwise; only successes are cached (failures are cheap
-   to rediscover and end the run anyway). A [None] slot (no session)
-   always runs. *)
-let stage_r name slot key compute =
-  match slot with
-  | Some r when (match !r with Some (k, _) -> String.equal k key | None -> false)
-    ->
-    Putil.Metrics.incr (m_stage name "skipped");
-    Ok (match !r with Some (_, v) -> v | None -> assert false)
-  | _ -> (
-    Putil.Metrics.incr (m_stage name "ran");
-    match compute () with
-    | Ok v ->
-      (match slot with Some r -> r := Some (key, v) | None -> ());
-      Ok v
-    | Error _ as e -> e)
-
-(* [stage_r] with persistent backing: slot first, store second,
-   compute last. Only for stages whose value is Uid-free pure data —
-   interned UIDs are dense ids into this process's interner, so a
-   value carrying them (e.g. the translation's traceability table)
-   would resolve against an unrelated interner when replayed by a
-   fresh process, and must never go through here. *)
-let stage_rp name slot store key compute =
-  let store_stage = "stage." ^ name in
-  match slot with
-  | Some r when (match !r with Some (k, _) -> String.equal k key | None -> false)
-    ->
-    Putil.Metrics.incr (m_stage name "skipped");
-    Ok (match !r with Some (_, v) -> v | None -> assert false)
-  | _ -> (
-    let record v =
-      match slot with Some r -> r := Some (key, v) | None -> ()
-    in
-    match
-      Option.bind store (fun s ->
-          Putil.Cache_store.get s ~stage:store_stage ~key)
-    with
-    | Some v ->
-      Putil.Metrics.incr (m_stage name "skipped");
-      record v;
-      Ok v
-    | None -> (
-      Putil.Metrics.incr (m_stage name "ran");
-      match compute () with
-      | Ok v ->
-        (match store with
-         | Some s -> Putil.Cache_store.put s ~stage:store_stage ~key v
-         | None -> ());
-        record v;
-        Ok v
-      | Error _ as e -> e))
-
-(* [stage_rp] for the per-process stages: a store replay of the whole
-   stage covers every unit the cold run computed, so it credits
-   [proc_skipped] with the unit count derived from the replayed value
-   — the per-unit accounting stays truthful ("this work was not
-   redone") even though the individual [proc_unit] lookups are
-   bypassed. The per-unit store entries written by the cold run remain
-   in place; the edited-program path misses here (the stage key covers
-   the whole program) and falls through to [proc_unit] as before. *)
-let stage_rpu name slot store key ~units compute =
-  let store_stage = "stage." ^ name in
-  match slot with
-  | Some r when (match !r with Some (k, _) -> String.equal k key | None -> false)
-    ->
-    Putil.Metrics.incr (m_stage name "skipped");
-    Ok (match !r with Some (_, v) -> v | None -> assert false)
-  | _ -> (
-    let record v =
-      match slot with Some r -> r := Some (key, v) | None -> ()
-    in
-    match
-      Option.bind store (fun s ->
-          Putil.Cache_store.get s ~stage:store_stage ~key)
-    with
-    | Some v ->
-      Putil.Metrics.incr (m_stage name "skipped");
-      Putil.Metrics.incr ~by:(units v) (m_stage name "proc_skipped");
-      record v;
-      Ok v
-    | None -> (
-      Putil.Metrics.incr (m_stage name "ran");
-      match compute () with
-      | Ok v ->
-        (match store with
-         | Some s -> Putil.Cache_store.put s ~stage:store_stage ~key v
-         | None -> ());
-        record v;
-        Ok v
-      | Error _ as e -> e))
-
-let stage_pu name slot store key ~units compute =
-  match stage_rpu name slot store key ~units (fun () -> Ok (compute ())) with
-  | Ok v -> v
-  | Error () -> assert false
-
-(* Per-process unit inside a stage: in-memory table first, persistent
-   store second, compute last. A store hit still counts as skipped —
-   the work was not redone. Only successes are recorded. *)
-let proc_unit stage_name tbl store store_stage pname key compute =
-  let hit v =
-    Putil.Metrics.incr (m_stage stage_name "proc_skipped");
-    v
-  in
-  match tbl with
-  | Some t
-    when (match Hashtbl.find_opt t pname with
-          | Some (k, _) -> String.equal k key
-          | None -> false) ->
-    hit
-      (match Hashtbl.find_opt t pname with
-       | Some (_, v) -> v
-       | None -> assert false)
-  | _ -> (
-    let record v =
-      (match tbl with
-       | Some t -> Hashtbl.replace t pname (key, v)
-       | None -> ());
-      v
-    in
-    match
-      Option.bind store (fun s ->
-          Putil.Cache_store.get s ~stage:store_stage ~key)
-    with
-    | Some v -> hit (record v)
-    | None ->
-      Putil.Metrics.incr (m_stage stage_name "proc_ran");
-      let v = compute () in
-      (match store with
-       | Some s -> Putil.Cache_store.put s ~stage:store_stage ~key v
-       | None -> ());
-      record v)
-
-(* Trust boundary: stage keys are Marshal digests of pure data. A
-   closure smuggled into a key would marshal the code pointer — or
-   worse, appear digest-stable across semantically different runs — so
-   it is rejected loudly instead. Registries of behaviour closures
-   carry a stable string id ({!Trans.Behavior.id}) that is folded into
-   the key in their place. *)
-let digest_of v =
-  match Marshal.to_string v [ Marshal.No_sharing ] with
-  | s -> Digest.to_hex (Digest.string s)
-  | exception Invalid_argument _ ->
-    invalid_arg
-      "Pipeline.digest_of: value contains a closure (functional value); \
-       stage keys must be pure data — fold a stable id into the key \
-       instead (see Trans.Behavior.make)"
 
 (* Stable codes for the defects detected by the pipeline itself. *)
 let code_root =
@@ -708,24 +554,21 @@ let merge_analyses ~stubbed (links : Signal_lang.Normalize.link list) pas ga =
    result is [Error] only when a stage failure prevents building the
    full record; the accumulated diagnostics (including warnings and
    notes from the analyses) otherwise ride in [analyzed.diags]. *)
-let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
+let analyze_in ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
     ?(context = []) ?file ~root pkg =
-  in_session_scope session @@ fun () ->
   Putil.Tracing.with_span "pipeline.analyze"
     ~args:[ ("root", Putil.Tracing.Astr root) ]
   @@ fun () ->
+  let s = Option.value session ~default:no_session in
   let diags = Putil.Diag.collector () in
   let fail () = Error (Putil.Diag.result diags) in
-  let slot f = Option.map f session in
-  let store = session_store session in
   let aadl_issues =
     List.concat_map Aadl.Check.check_package (pkg :: context)
   in
   Putil.Diag.add_list diags (Aadl.Check.to_diags ?file aadl_issues);
   match
-    stage_r "instantiate"
-      (slot (fun s -> s.s_instance))
-      (digest_of (file, root, pkg, context))
+    Memo.find s.s_instance
+      (Memo.key (file, root, pkg, context))
       (fun () -> Aadl.Instance.instantiate_diag ?file ~context pkg ~root)
   with
   | Error ds ->
@@ -733,9 +576,8 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
     fail ()
   | Ok instance -> (
     match
-      stage_r "translate"
-        (slot (fun s -> s.s_translate))
-        (digest_of (instance, policy, mode, file)
+      Memo.find s.s_translate
+        (Memo.key (instance, policy, mode, file)
         ^ ":" ^ Trans.Behavior.id registry)
         (fun () ->
           match
@@ -754,22 +596,18 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
       let program_key = Signal_lang.Ast.program_digest program in
       let top = translation.Trans.System_trans.top in
       let typecheck_errors, typed_program =
-        stage_pu "typecheck"
-          (slot (fun s -> s.s_typecheck))
-          store program_key
+        Memo.get s.s_typecheck program_key
           ~units:(fun (_, tp) -> List.length tp.Ast.processes)
           (fun () ->
             (* keyed on (own body × interface environment): a body edit
                in one process reruns only that process's check *)
             let iface_key =
-              digest_of (List.map iface_of program.Ast.processes)
+              Memo.key (List.map iface_of program.Ast.processes)
             in
             let per_proc =
               List.map
                 (fun p ->
-                  proc_unit "typecheck"
-                    (slot (fun s -> s.s_tc_procs))
-                    store "typecheck.proc" p.Ast.proc_name
+                  Memo.get s.s_tc_procs ~slot:p.Ast.proc_name
                     (Digest.to_hex (Ast.process_digest p) ^ ":" ^ iface_key)
                     (fun () ->
                       ( Signal_lang.Typecheck.check_process ~program p,
@@ -785,9 +623,7 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
            (diag_of_type_error ?file ~translation ~instance)
            typecheck_errors);
       match
-        stage_rpu "normalize"
-          (slot (fun s -> s.s_normalize))
-          store
+        Memo.find s.s_normalize
           (program_key ^ ":" ^ top.Ast.proc_name)
           ~units:(fun n -> List.length n.n_models)
           (fun () ->
@@ -805,9 +641,7 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                 (fun m ->
                   Option.map
                     (fun k -> (m.Ast.proc_name, k))
-                    (proc_unit "normalize"
-                       (slot (fun s -> s.s_kernels))
-                       store "normalize.proc" m.Ast.proc_name
+                    (Memo.get s.s_kernels ~slot:m.Ast.proc_name
                        (model_key program m)
                        (fun () ->
                          Result.to_option
@@ -842,9 +676,7 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
           (List.length n.n_profile.Analysis.Profiling.per_signal);
         let stubbed = Putil.Diag.has_errors tdiags in
         let an =
-          stage_pu "analyses"
-            (slot (fun s -> s.s_analyses))
-            store
+          Memo.get s.s_analyses
             (n.n_kdigest ^ if stubbed then ":stub" else "")
             ~units:(fun an -> List.length an.a_procs + 1 (* glue *))
             (fun () ->
@@ -861,9 +693,7 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                     Option.map
                       (fun km ->
                         ( name,
-                          proc_unit "analyses"
-                            (slot (fun s -> s.s_panas))
-                            store "analysis.proc" name (K.digest km)
+                          Memo.get s.s_panas ~slot:name (K.digest km)
                             (fun () -> proc_analysis_of km) ))
                       (List.assoc_opt name n.n_models))
                   model_names
@@ -872,10 +702,8 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                 glue_with_summaries n.n_glue n.n_links pas
               in
               let ga =
-                proc_unit "analyses"
-                  (slot (fun s -> s.s_glue))
-                  store "analysis.glue" "glue"
-                  (digest_of (K.digest glue', extra_edges))
+                Memo.get s.s_glue ~slot:"glue"
+                  (Memo.key (K.digest glue', extra_edges))
                   (fun () -> glue_analysis_of glue' extra_edges)
               in
               merge_analyses ~stubbed n.n_links pas ga)
@@ -893,14 +721,26 @@ let analyze_package ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
             clocked_decls; calc; hierarchy;
             determinism = an.a_determinism; deadlock = an.a_deadlock;
             typecheck_errors; diags = Putil.Diag.result diags;
-            scope = Option.map (fun s -> s.s_label) session }))
+            scope = Option.map session_label session }))
+
+(* every stage of a session runs inside the session's observation
+   scope, entered once per call, so concurrent sessions attribute their
+   metrics and trace spans per-scope (the global registry stays the
+   roll-up) *)
+let in_session_scope session f =
+  match session with
+  | Some s -> Putil.Obs.with_scope ~label:s.s_label f
+  | None -> f ()
+
+let analyze_package ?session ?registry ?policy ?mode ?context ?file ~root pkg
+    =
+  in_session_scope session @@ fun () ->
+  analyze_in ?session ?registry ?policy ?mode ?context ?file ~root pkg
 
 let analyze ?session ?registry ?policy ?mode ?root ?file src =
   in_session_scope session @@ fun () ->
   let* pkgs =
-    stage_rp "parse"
-      (Option.map (fun s -> s.s_parse) session)
-      (session_store session)
+    Memo.find (Option.value session ~default:no_session).s_parse
       (Digest.to_hex
          (Digest.string (Option.value ~default:"" file ^ "\x00" ^ src)))
       (fun () -> Aadl.Parser.parse_packages_diag ?file src)
@@ -927,8 +767,7 @@ let analyze ?session ?registry ?policy ?mode ?root ?file src =
         (default_root pkgs)
   in
   let context = List.filter (fun p -> p != pkg) pkgs in
-  analyze_package ?session ?registry ?policy ?mode ~context ?file ~root
-    pkg
+  analyze_in ?session ?registry ?policy ?mode ~context ?file ~root pkg
 
 (* Schedulers on different processors may use different base ticks;
    simulation advances on their gcd and pulses each processor's tick at

@@ -90,8 +90,9 @@ type analyzed = {
 
 (** {1 Incremental sessions}
 
-    A session caches every pipeline stage output under a content
-    digest of that stage's input, so re-analyzing edited source reruns
+    A session memoizes every pipeline stage output under a content
+    digest of that stage's input, one {!Putil.Memo} per stage holding
+    the latest entry, so re-analyzing edited source reruns
     only the affected prefix: parse/instantiate/translate key on the
     source, while typecheck, normalization and the clock/boolean
     analyses key on the digest of the {e generated program} (resp.
@@ -109,10 +110,16 @@ type analyzed = {
     when the program {e did} change, only the edited process's
     typecheck/normalize/analyze reruns — untouched processes replay
     cached results. The [incr.<stage>.proc_ran] / [.proc_skipped]
-    metrics count that traffic. With a persistent [store], per-process
-    units are additionally written through to disk and survive process
-    exit: a fresh session opened on a warm store skips straight to
-    replay ({!Putil.Cache_store}).
+    metrics count that traffic. With a persistent [store], the parse
+    stage, the back-half stages and their per-process units are
+    additionally written through to disk and survive process exit: a
+    fresh session opened on a warm store skips straight to replay
+    ({!Putil.Cache_store}), and a whole-stage replay credits
+    [proc_skipped] with the units it covers. Instantiation and
+    translation carry interned Uids and stay memory-only.
+
+    A call without a session memoizes nothing, enters no observation
+    scope and counts every stage as [ran].
 
     Cached stages are pure, so a warm re-analysis returns results
     byte-identical to a cold one. The behaviour registry is assumed
@@ -186,9 +193,8 @@ val simulate :
     Clock analysis and compilation are memoized on the kernel's
     structural digest (see {!Clocks.Calculus.analyze} and
     {!Polysim.Compile.compile}), so repeated simulations of one system
-    pay the front-end once; the [pipeline.cache_hits] /
-    [pipeline.cache_misses] counters in the metrics registry record
-    the traffic. *)
+    pay the front-end once; the [incr.calculus.*] and [incr.plan.*]
+    counters in the metrics registry record the traffic. *)
 
 val simulate_scenarios :
   ?envs:(int -> int -> (string * int) list) ->

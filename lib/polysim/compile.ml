@@ -9,8 +9,6 @@ module Clock = Putil.Clock
 
 let m_compilations = Metrics.counter "compile.compilations"
 let m_plan_builds = Metrics.counter "compile.plan_builds"
-let m_cache_hits = Metrics.counter "pipeline.cache_hits"
-let m_cache_misses = Metrics.counter "pipeline.cache_misses"
 let m_compile_ns = Metrics.timer "compile.compile_ns"
 let m_plan_ops = Metrics.gauge "compile.plan_ops"
 let m_bdd_nodes = Metrics.gauge "compile.bdd_nodes"
@@ -982,33 +980,23 @@ let record_plan_metrics pl =
   Metrics.set m_free_classes pl.p_n_free
 
 (* Plans are memoized on the kernel digest (compile errors too — they
-   are just as deterministic). The mutex makes the memo safe from the
-   explorer's worker domains and prevents two domains from building
-   one plan twice; cold builds are serialized, which is irrelevant
-   next to their cost being paid once. *)
-let plan_cache : (string, (plan, string) result) Hashtbl.t = Hashtbl.create 64
-let plan_lock = Mutex.create ()
-let plan_cache_cap = 256
+   are just as deterministic, so the memo's value is the result). The
+   memo computes under its own lock: the explorer's worker domains may
+   consult it, and two domains never build one plan twice. *)
+let plans : (plan, string) result Putil.Memo.t =
+  Putil.Memo.create ~cap:256 "incr.plan"
 
 let plan_of_digest kp =
-  let dg = K.digest kp in
-  Mutex.protect plan_lock @@ fun () ->
-  match Hashtbl.find_opt plan_cache dg with
-  | Some r -> Metrics.incr m_cache_hits; r
-  | None ->
-    Metrics.incr m_cache_misses;
-    Metrics.incr m_plan_builds;
-    let r =
-      Putil.Tracing.with_span "compile.plan"
-        ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
-      @@ fun () ->
-      Metrics.time m_compile_ns (fun () -> compile_impl kp)
-    in
-    (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
-    if Hashtbl.length plan_cache >= plan_cache_cap then
-      Hashtbl.reset plan_cache;
-    Hashtbl.add plan_cache dg r;
-    r
+  Putil.Memo.get plans (K.digest kp) @@ fun () ->
+  Metrics.incr m_plan_builds;
+  let r =
+    Putil.Tracing.with_span "compile.plan"
+      ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
+    @@ fun () ->
+    Metrics.time m_compile_ns (fun () -> compile_impl kp)
+  in
+  (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
+  r
 
 (* Physical-equality fast path over the digest memo: re-instantiating
    the same in-memory kernel (the common case in batched and
@@ -1018,7 +1006,7 @@ let plan_last : (K.kprocess * (plan, string) result) option Atomic.t =
 
 let plan_of kp =
   match Atomic.get plan_last with
-  | Some (kp0, r) when kp0 == kp -> Metrics.incr m_cache_hits; r
+  | Some (kp0, r) when kp0 == kp -> Putil.Memo.hit plans; r
   | _ ->
     let r = plan_of_digest kp in
     Atomic.set plan_last (Some (kp, r));

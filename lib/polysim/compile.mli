@@ -34,9 +34,12 @@ val compile : Signal_lang.Kernel.kprocess -> (t, string) result
 (** Compile, or fetch the memoized compilation. The expensive immutable
     part — clock analysis, clock BDDs, the toposorted execution plan
     compiled to closures — is cached on {!Signal_lang.Kernel.digest}
-    (with a physical-equality fast path for repeated compiles of the
-    same in-memory kernel) and shared between all instances of a
-    kernel; each call returns a fresh mutable instance (own delay
+    in a {!Putil.Memo} of 256 entries that clears when full (with a
+    physical-equality fast path for repeated compiles of the same
+    in-memory kernel) and shared between all instances of a kernel.
+    Compile errors are cached too. The memo counts its traffic as
+    [incr.plan.ran] / [incr.plan.skipped] (fast-path hits included).
+    Each call returns a fresh mutable instance (own delay
     registers, FIFO queues, trace). Instances over one plan are
     independent: stepping one never observes another, and distinct
     domains may each step their own instance concurrently (the shared

@@ -378,34 +378,13 @@ let translate_uncached ~registry inst =
    id, see {!Behavior.make}), so its result is memoized per process:
    re-translating a system after editing one thread reruns exactly
    that thread's translation. Only successes are cached ([Trans_diag]
-   defects are cheap to rediscover and must not be masked). The table
-   is mutex-protected for Domain_pool safety. *)
-let m_proc_ran = Putil.Metrics.counter "incr.translate.proc_ran"
-let m_proc_skipped = Putil.Metrics.counter "incr.translate.proc_skipped"
-
-let memo : (string, Ast.process) Hashtbl.t = Hashtbl.create 64
-let memo_lock = Mutex.create ()
-let memo_cap = 512
+   defects are cheap to rediscover and must not be masked). *)
+let memo : Ast.process Putil.Memo.t =
+  Putil.Memo.create ~cap:512 ~per_unit:true "incr.translate"
 
 let translate ~registry inst =
   Putil.Tracing.with_span "trans.thread"
     ~args:[ ("thread", Putil.Tracing.Astr inst.Inst.i_path) ]
   @@ fun () ->
-  let key =
-    Digest.string
-      (Behavior.id registry ^ "\x00"
-      ^ Marshal.to_string inst [ Marshal.No_sharing ])
-  in
-  match
-    Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key)
-  with
-  | Some p ->
-    Putil.Metrics.incr m_proc_skipped;
-    p
-  | None ->
-    Putil.Metrics.incr m_proc_ran;
-    let p = translate_uncached ~registry inst in
-    Mutex.protect memo_lock (fun () ->
-        if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-        Hashtbl.replace memo key p);
-    p
+  Putil.Memo.get memo (Putil.Memo.key (Behavior.id registry, inst))
+    (fun () -> translate_uncached ~registry inst)

@@ -27,7 +27,12 @@ val translate :
   registry:Behavior.registry ->
   Aadl.Instance.instance ->
   Signal_lang.Ast.process
-(** @raise Invalid_argument if the instance is not a thread.
+(** Memoized per thread in a process-wide {!Putil.Memo} of 512
+    entries that clears when full, keyed on the behaviour registry's
+    stable id and the thread instance; counted as
+    [incr.translate.proc_ran] / [incr.translate.proc_skipped]. Only
+    successes are memoized.
+    @raise Invalid_argument if the instance is not a thread.
     @raise Trans_diag on a model-level defect (see above). *)
 
 val process_name : Aadl.Instance.instance -> string

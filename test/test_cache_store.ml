@@ -296,10 +296,10 @@ let test_lru_eviction () =
 
 (* Satellite audit: every digest-keyed cache the pipeline leans on —
    the persistent store (per-handle mutex), the clock-calculus analyze
-   memo (analyze_lock, shared with reset_cache) and the compiled-plan
-   memo (plan_lock + atomic fast path) — must survive concurrent
-   hammering from Domain_pool workers, including cache resets racing
-   cold analyses. *)
+   memo (its Putil.Memo lock, shared with reset_cache) and the
+   compiled-plan memo (its Putil.Memo lock + atomic fast path) — must
+   survive concurrent hammering from Domain_pool workers, including
+   cache resets racing cold analyses. *)
 let test_parallel_store_and_memos () =
   let kernel seed =
     N.process_exn

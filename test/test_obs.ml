@@ -125,6 +125,27 @@ let test_concurrent_sessions () =
   Alcotest.(check int) "scopes partition the global delta" (v1 + v2)
     (M.counter_value M.global "engine.instants" - before)
 
+(* [analyze ~session] enters the session's scope once: one
+   [scope:<label>] span, not one nested inside another *)
+let test_session_scope_entered_once () =
+  T.reset ();
+  T.set_enabled true;
+  Fun.protect ~finally:(fun () -> T.set_enabled false) @@ fun () ->
+  (match
+     P.analyze ~session:(P.new_session ~label:"one" ())
+       ~registry:Polychrony.Case_study.registry_nominal
+       Polychrony.Case_study.aadl_source
+   with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail (Putil.Diag.list_to_string m));
+  T.set_enabled false;
+  let spans =
+    List.filter
+      (function T.Begin { name = "scope:one"; _ } -> true | _ -> false)
+      (List.concat_map snd (T.events ()))
+  in
+  Alcotest.(check int) "exactly one scope:one span" 1 (List.length spans)
+
 (* ---------------- Domain_pool propagation -------------------------- *)
 
 let test_pool_propagation () =
@@ -312,4 +333,6 @@ let suite =
        Alcotest.test_case "openmetrics exposition" `Quick
          test_openmetrics_exposition;
        Alcotest.test_case "flight snapshot JSON" `Quick
-         test_flight_dump_json ]) ]
+         test_flight_dump_json;
+       Alcotest.test_case "analyze enters the session scope once" `Quick
+         test_session_scope_entered_once ]) ]
