@@ -148,9 +148,9 @@ let mode_arg =
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
-         ~doc:"Print the run-metrics report (engine fixpoint iterations, \
-               instants/sec, clock-calculus, translation and scheduling \
-               counters) on stdout after the command.")
+         ~doc:"Print the run-metrics report (one span timer per layer, \
+               engine fixpoint iterations, clock-calculus, translation and \
+               scheduling counters) on stdout after the command.")
 
 let print_stats_if enabled =
   if enabled then Format.printf "%a@." Polychrony.Pipeline.pp_stats ()

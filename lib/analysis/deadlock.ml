@@ -55,6 +55,9 @@ let dependency_graph ?(extra_edges = []) kp =
   g
 
 let analyze ?calc ?extra_edges kp =
+  Putil.Tracing.with_span "analysis.deadlock"
+    ~args:[ ("process", Putil.Tracing.Astr kp.K.kname) ]
+  @@ fun () ->
   let g = dependency_graph ?extra_edges kp in
   let feasible_cycle members =
     match calc with

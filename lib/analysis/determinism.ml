@@ -13,6 +13,9 @@ type report = {
 }
 
 let analyze calc kp =
+  Putil.Tracing.with_span "analysis.determinism"
+    ~args:[ ("process", Putil.Tracing.Astr kp.K.kname) ]
+  @@ fun () ->
   let issues = ref [] in
   List.iter
     (fun (dst, branches) ->

@@ -4,13 +4,11 @@ module Types = Signal_lang.Types
 module Stdproc = Signal_lang.Stdproc
 module Metrics = Putil.Metrics
 
-let m_analyses = Metrics.counter "calculus.analyses"
 let m_uf_finds = Metrics.counter "calculus.uf_finds"
 let m_uf_unions = Metrics.counter "calculus.uf_unions"
 let m_constraints = Metrics.counter "calculus.constraints"
 let m_signals = Metrics.gauge "calculus.signals"
 let m_classes = Metrics.gauge "calculus.classes"
-let m_analyze_ns = Metrics.timer "calculus.analyze_ns"
 
 (* ------------------------------------------------------------------ *)
 (* Union-find over signal indices                                      *)
@@ -511,12 +509,10 @@ let memo : t Putil.Memo.t = Putil.Memo.create ~cap:256 "incr.calculus"
 
 let analyze kp =
   Putil.Memo.get memo (K.digest kp) @@ fun () ->
-  Metrics.incr m_analyses;
   let st =
     Putil.Tracing.with_span "clocks.calculus"
       ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
-    @@ fun () ->
-    Metrics.time m_analyze_ns (fun () -> analyze_impl kp)
+      (fun () -> analyze_impl kp)
   in
   Metrics.set m_signals (K.st_count st.tab);
   Metrics.set m_classes (Array.length st.reprs);

@@ -12,7 +12,6 @@ type t = {
 }
 
 let m_depth = Putil.Metrics.gauge "calculus.hierarchy_depth"
-let m_builds = Putil.Metrics.counter "calculus.hierarchy_builds"
 
 (* c1 strictly below c2: c1 ⊆ c2 and not c2 ⊆ c1 (under Φ). *)
 let build calc =
@@ -89,7 +88,6 @@ let build calc =
     |> List.filter (fun nd -> nd.parent = None)
     |> List.map (fun nd -> nd.class_id)
   in
-  Putil.Metrics.incr m_builds;
   Putil.Metrics.set m_depth (Array.fold_left max 0 depth);
   { all; root_ids }
 

@@ -610,6 +610,9 @@ let analyze_in ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                   Memo.get s.s_tc_procs ~slot:p.Ast.proc_name
                     (Digest.to_hex (Ast.process_digest p) ^ ":" ^ iface_key)
                     (fun () ->
+                      Putil.Tracing.with_span "signal_lang.typecheck"
+                        ~args:[ ("process", Putil.Tracing.Astr p.Ast.proc_name) ]
+                      @@ fun () ->
                       ( Signal_lang.Typecheck.check_process ~program p,
                         Signal_lang.Typecheck.type_process p )))
                 program.Ast.processes
@@ -644,6 +647,9 @@ let analyze_in ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                     (Memo.get s.s_kernels ~slot:m.Ast.proc_name
                        (model_key program m)
                        (fun () ->
+                         Putil.Tracing.with_span "signal_lang.normalize"
+                           ~args:[ ("process", Putil.Tracing.Astr m.Ast.proc_name) ]
+                         @@ fun () ->
                          Result.to_option
                            (Signal_lang.Normalize.process ~program m))))
                 models
@@ -662,8 +668,10 @@ let analyze_in ?session ?(registry = Trans.Behavior.empty) ?policy ?mode
                       lk.Signal_lang.Normalize.lk_kernel;
                   n_kdigest =
                     K.digest lk.Signal_lang.Normalize.lk_kernel })
-              (Signal_lang.Normalize.process_linked ~program ~precomputed
-                 top))
+              (Putil.Tracing.with_span "signal_lang.normalize"
+                 ~args:[ ("process", Putil.Tracing.Astr top.Ast.proc_name) ]
+               @@ fun () ->
+               Signal_lang.Normalize.process_linked ~program ~precomputed top))
       with
       | Error d ->
         Putil.Diag.add diags d;

@@ -293,10 +293,11 @@ val pp_summary : Format.formatter -> analyzed -> unit
 
 val pp_stats : Format.formatter -> unit -> unit
 (** Structured run-metrics report from the global {!Putil.Metrics}
-    registry: engine fixpoint iterations, instants simulated and
-    instants/sec, compiled-evaluator and BDD statistics, clock-calculus
-    union-find and constraint counters, translation and scheduling
-    counters — everything instrumented since process start. *)
+    registry: one span timer per layer (count, total, mean), engine
+    fixpoint iterations, instants simulated, compiled-evaluator and BDD
+    statistics, clock-calculus union-find and constraint counters,
+    translation and scheduling counters — everything instrumented since
+    process start. *)
 
 val stats_json : unit -> Putil.Metrics.Json.t
 (** The same snapshot as {!pp_stats}, as a JSON object keyed by

@@ -5,18 +5,14 @@ module Stdproc = Signal_lang.Stdproc
 module Calc = Clocks.Calculus
 module Bdd = Clocks.Bdd
 module Metrics = Putil.Metrics
-module Clock = Putil.Clock
 
 let m_compilations = Metrics.counter "compile.compilations"
-let m_plan_builds = Metrics.counter "compile.plan_builds"
-let m_compile_ns = Metrics.timer "compile.compile_ns"
 let m_plan_ops = Metrics.gauge "compile.plan_ops"
 let m_bdd_nodes = Metrics.gauge "compile.bdd_nodes"
 let m_bdd_apply_calls = Metrics.gauge "compile.bdd_apply_calls"
 let m_bdd_apply_hit_pct = Metrics.gauge "compile.bdd_apply_hit_pct"
 let m_free_classes = Metrics.gauge "compile.free_classes"
 let m_instants = Metrics.counter "compile.instants"
-let m_step_ns = Metrics.timer "compile.step_ns"
 let m_codegen_bytes = Metrics.gauge "compile.codegen_bytes"
 
 exception Comp_error of string
@@ -986,17 +982,18 @@ let record_plan_metrics pl =
 let plans : (plan, string) result Putil.Memo.t =
   Putil.Memo.create ~cap:256 "incr.plan"
 
-let plan_of_digest kp =
-  Putil.Memo.get plans (K.digest kp) @@ fun () ->
-  Metrics.incr m_plan_builds;
+(* every plan build, memoized or not, is one [compile.plan] span *)
+let build_plan kp =
   let r =
     Putil.Tracing.with_span "compile.plan"
       ~args:[ ("signals", Putil.Tracing.Aint (K.st_count (K.sigtab kp))) ]
-    @@ fun () ->
-    Metrics.time m_compile_ns (fun () -> compile_impl kp)
+      (fun () -> compile_impl kp)
   in
   (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
   r
+
+let plan_of_digest kp =
+  Putil.Memo.get plans (K.digest kp) (fun () -> build_plan kp)
 
 (* Physical-equality fast path over the digest memo: re-instantiating
    the same in-memory kernel (the common case in batched and
@@ -1018,10 +1015,7 @@ let compile kp =
 
 let compile_uncached kp =
   Metrics.incr m_compilations;
-  Metrics.incr m_plan_builds;
-  let r = Metrics.time m_compile_ns (fun () -> compile_impl kp) in
-  (match r with Ok pl -> record_plan_metrics pl | Error _ -> ());
-  Result.map (fun pl -> instantiate pl) r
+  Result.map (fun pl -> instantiate pl) (build_plan kp)
 
 let fork st = instantiate st.pl
 
@@ -1102,23 +1096,21 @@ let exec_instant st =
    each prepared by [fill st k] and then executed; the first failing
    instant ends the loop with its message. *)
 let step_loop st ~n ~fill =
-  let t0 = Clock.now_ns () in
-  let r =
-    try
-      for k = 0 to n - 1 do
-        fill st k;
-        exec_instant st;
-        st.instants <- st.instants + 1
-      done;
-      Ok ()
-    with Comp_error m -> Error m
-  in
-  Metrics.add_span_ns m_step_ns (Clock.now_ns () - t0);
-  r
+  try
+    for k = 0 to n - 1 do
+      fill st k;
+      exec_instant st;
+      st.instants <- st.instants + 1
+    done;
+    Ok ()
+  with Comp_error m -> Error m
 
+(* no span: the explorer calls this once per transition, inside its
+   own [explore.check] span *)
 let step_prepared st = step_loop st ~n:1 ~fill:(fun _ _ -> ())
 
 let run_batched st ~n ~fill =
+  Putil.Tracing.with_span "compile.step" @@ fun () ->
   step_loop st ~n ~fill:(fun st k ->
       stim_clear st;
       fill st k)

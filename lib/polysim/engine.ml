@@ -6,7 +6,6 @@ module Metrics = Putil.Metrics
 let m_instants = Metrics.counter "engine.instants"
 let m_fixpoint_iters = Metrics.counter "engine.fixpoint_iters"
 let m_defaults = Metrics.counter "engine.defaults"
-let m_step_ns = Metrics.timer "engine.step_ns"
 
 exception Sim_error of string
 
@@ -426,7 +425,6 @@ let commit_prim st ps =
 (* ------------------------------------------------------------------ *)
 
 let step st ~stimulus =
-  Metrics.time m_step_ns @@ fun () ->
   try
     let prog = st.prog in
     let n = prog.Prog.n in

@@ -9,7 +9,6 @@ let m_steps = Metrics.counter "explore.steps"
 let m_domains = Metrics.gauge "explore.domains"
 let m_states = Metrics.gauge "explore.states"
 let m_frontier_max = Metrics.gauge "explore.frontier_max"
-let m_check_ns = Metrics.timer "explore.check_ns"
 
 (* Exploration failures surface as coded diagnostics so `verify` keeps
    its 0/1/2 exit contract instead of crashing on an exception. *)
@@ -237,7 +236,6 @@ let check ?(depth = 8) ?jobs ~inputs ~safe kp =
     | Ok sp ->
       Metrics.incr m_checks;
       Metrics.set m_domains jobs;
-      Metrics.time m_check_ns @@ fun () ->
       if depth <= 0 then Ok (Holds, 0)
       else begin
         Compile.set_recording c0 false;

@@ -10,7 +10,6 @@ module Bdd = Clocks.Bdd
 module Metrics = Putil.Metrics
 module Tracing = Putil.Tracing
 
-let m_checks = Metrics.counter "explore.sym.checks"
 let m_images = Metrics.counter "explore.sym.image_steps"
 let m_unsupported = Metrics.counter "explore.sym.unsupported"
 let m_states = Metrics.gauge "explore.sym.states"
@@ -18,7 +17,6 @@ let m_state_bits = Metrics.gauge "explore.sym.state_bits"
 let m_trans_nodes = Metrics.gauge "explore.sym.trans_nodes"
 let m_peak_nodes = Metrics.gauge "explore.sym.peak_nodes"
 let m_gcs = Metrics.gauge "explore.sym.gc_collections"
-let m_check_ns = Metrics.timer "explore.sym.check_ns"
 let m_domain_evals = Metrics.counter "explore.sym.domain_evals"
 
 let code_unsupported =
@@ -1214,11 +1212,9 @@ let run_exn ~depth ~inputs ~prop c =
   end
 
 let run ?(depth = 8) ~inputs ~prop c =
-  Metrics.incr m_checks;
   Tracing.with_span "explore.sym.check"
     ~args:[ ("depth", Tracing.Aint depth) ]
   @@ fun () ->
-  Metrics.time m_check_ns @@ fun () ->
   match run_exn ~depth ~inputs ~prop c with
   | outcome -> Ok outcome
   | exception Unsupported m ->

@@ -1,10 +1,8 @@
 module Metrics = Putil.Metrics
 
-let m_syntheses = Metrics.counter "sched.syntheses"
 let m_jobs_placed = Metrics.counter "sched.jobs_placed"
 let m_idle_advances = Metrics.counter "sched.idle_advances"
 let m_infeasible = Metrics.counter "sched.infeasible"
-let m_synthesize_ns = Metrics.timer "sched.synthesize_ns"
 
 type policy =
   | Edf
@@ -80,8 +78,6 @@ let synthesize ?(policy = Edf) tasks =
             | Edf -> "edf" | Rm -> "rm" | Fp -> "fp" | Fifo -> "fifo"));
         ("tasks", Putil.Tracing.Aint (List.length tasks)) ]
   @@ fun () ->
-  Metrics.incr m_syntheses;
-  Metrics.time m_synthesize_ns @@ fun () ->
   let hyper = Task.hyperperiod_us tasks in
   (* all jobs of the hyper-period *)
   let all_pending =

@@ -57,11 +57,9 @@ let span_of_loc ?file (l : Syn.loc) =
 
 module Metrics = Putil.Metrics
 
-let m_translations = Metrics.counter "trans.translations"
 let m_processes = Metrics.counter "trans.processes"
 let m_equations = Metrics.counter "trans.equations"
 let m_fifos = Metrics.counter "trans.fifos"
-let m_translate_ns = Metrics.timer "trans.translate_ns"
 
 let record_output_metrics (program : Ast.program) =
   let is_fifo st =
@@ -817,8 +815,6 @@ let translate_diag ?file ?(registry = Behavior.empty) ?(policy = S.Edf)
   Putil.Tracing.with_span "trans.system"
     ~args:[ ("root", Putil.Tracing.Astr t.Inst.root.Inst.i_path) ]
   @@ fun () ->
-  Metrics.incr m_translations;
-  Metrics.time m_translate_ns @@ fun () ->
   let diags = Putil.Diag.collector () in
   match translate_core ?file ~registry ~policy ~mode ~diags t with
   | out -> (Some out, Putil.Diag.result diags)

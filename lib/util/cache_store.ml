@@ -233,6 +233,8 @@ let evict_to_bound t =
   loop ()
 
 let get t ~stage ~key =
+  Tracing.with_span "util.store_get" ~args:[ ("stage", Tracing.Astr stage) ]
+  @@ fun () ->
   with_lock t (fun () ->
       match Hashtbl.find_opt t.t_index (stage, key) with
       | None ->
@@ -271,6 +273,8 @@ let get t ~stage ~key =
           None))
 
 let put t ~stage ~key v =
+  Tracing.with_span "util.store_put" ~args:[ ("stage", Tracing.Astr stage) ]
+  @@ fun () ->
   let payload =
     try Marshal.to_string v [ Marshal.No_sharing ]
     with Invalid_argument _ ->

@@ -1,8 +1,7 @@
 (* Counters, gauges and timers are lock-free atomics so the
    instrumented hot paths (compiled step, explorer workers) can be
-   driven from several domains without losing events. Histograms shard
-   their accumulator by domain id behind short per-shard mutexes, so
-   [observe] is domain-safe without a contended global lock.
+   driven from several domains without losing events. Timers are fed
+   by [Tracing.with_span], one per span name.
 
    Registries publish their name table as an immutable map in one
    [Atomic]: lookups are a plain load + map find (lock-free), creation
@@ -27,7 +26,6 @@ and instrument =
   | Icounter of counter
   | Igauge of gauge
   | Itimer of timer
-  | Ihist of histogram
 
 and counter = {
   c : int Atomic.t;
@@ -50,26 +48,6 @@ and timer = {
   t_ambient : bool;
   t_scoped : (registry * timer) option Atomic.t;
 }
-
-and histogram = {
-  h_name : string;
-  h_ambient : bool;
-  h_scoped : (registry * histogram) option Atomic.t;
-  shards : hshard array;
-}
-
-(* one histogram shard; [Domain.self () land (num_shards - 1)] picks the
-   shard, so two domains only contend when their ids collide mod 8 *)
-and hshard = {
-  s_mu : Mutex.t;
-  mutable n : int;
-  mutable sum : float;
-  mutable mn : float;
-  mutable mx : float;
-  buckets : int array; (* index i counts values v with 2^(i-1) <= |v| < 2^i *)
-}
-
-let num_shards = 8
 
 let create () : registry =
   { map = Atomic.make StrMap.empty; mu = Mutex.create () }
@@ -113,7 +91,6 @@ let kind_name = function
   | Icounter _ -> "counter"
   | Igauge _ -> "gauge"
   | Itimer _ -> "timer"
-  | Ihist _ -> "histogram"
 
 let get_or_create (reg : registry) name make expect kind =
   let coerce i =
@@ -163,19 +140,6 @@ let timer ?(registry = global) name =
     (function Itimer t -> Some t | _ -> None)
     "timer"
 
-let histogram ?(registry = global) name =
-  get_or_create registry name
-    (fun () ->
-      Ihist
-        { h_name = name; h_ambient = registry == global;
-          h_scoped = Atomic.make None;
-          shards =
-            Array.init num_shards (fun _ ->
-                { s_mu = Mutex.create (); n = 0; sum = 0.; mn = infinity;
-                  mx = neg_infinity; buckets = Array.make 64 0 }) })
-    (function Ihist h -> Some h | _ -> None)
-    "histogram"
-
 (* Resolve the same-named instrument in the innermost ambient registry.
    The last (registry, instrument) pair is cached in one Atomic on the
    global handle, so steady-state scoped writes cost a load + physical
@@ -205,14 +169,6 @@ let scoped_timer top t =
       let t' = timer ~registry:top t.t_name in
       Atomic.set t.t_scoped (Some (top, t'));
       t'
-
-let scoped_histogram top h =
-  match Atomic.get h.h_scoped with
-  | Some (r, h') when r == top -> h'
-  | _ ->
-      let h' = histogram ~registry:top h.h_name in
-      Atomic.set h.h_scoped (Some (top, h'));
-      h'
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -245,10 +201,6 @@ let max_gauge g v =
     | [] -> ()
     | top :: _ -> max_cell (scoped_gauge top g).g v
 
-(* Monotonic, so NTP steps cannot produce negative or inflated span
-   durations; the same clock feeds Tracing's host-time spans. *)
-let now_ns = Clock.now_ns
-
 let add_span_cells t ns =
   ignore (Atomic.fetch_and_add t.spans 1);
   ignore (Atomic.fetch_and_add t.total_ns (max 0 ns))
@@ -260,33 +212,6 @@ let add_span_ns t ns =
     | [] -> ()
     | top :: _ -> add_span_cells (scoped_timer top t) ns
 
-let time t f =
-  let t0 = now_ns () in
-  Fun.protect ~finally:(fun () -> add_span_ns t (now_ns () - t0)) f
-
-let bucket_of v =
-  let v = Float.abs v in
-  if not (Float.is_finite v) || v < 1. then 0
-  else min 63 (1 + int_of_float (Float.log2 v))
-
-let observe_shard h v =
-  let s = h.shards.((Domain.self () :> int) land (num_shards - 1)) in
-  Mutex.lock s.s_mu;
-  s.n <- s.n + 1;
-  s.sum <- s.sum +. v;
-  if v < s.mn then s.mn <- v;
-  if v > s.mx then s.mx <- v;
-  let b = bucket_of v in
-  s.buckets.(b) <- s.buckets.(b) + 1;
-  Mutex.unlock s.s_mu
-
-let observe h v =
-  observe_shard h v;
-  if h.h_ambient && Atomic.get ambient_active > 0 then
-    match Domain.DLS.get dls_ambient with
-    | [] -> ()
-    | top :: _ -> observe_shard (scoped_histogram top h) v
-
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -295,34 +220,12 @@ type stat =
   | Counter of int
   | Gauge of int
   | Timer of { spans : int; total_ns : int }
-  | Histogram of { count : int; sum : float; min : float; max : float }
-
-(* merged totals across shards; each shard is locked for the few loads
-   so a concurrent [observe] cannot yield an (n, sum) torn pair *)
-let hist_totals h =
-  let n = ref 0 and sum = ref 0. in
-  let mn = ref infinity and mx = ref neg_infinity in
-  let buckets = Array.make 64 0 in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.s_mu;
-      n := !n + s.n;
-      sum := !sum +. s.sum;
-      if s.mn < !mn then mn := s.mn;
-      if s.mx > !mx then mx := s.mx;
-      Array.iteri (fun i c -> buckets.(i) <- buckets.(i) + c) s.buckets;
-      Mutex.unlock s.s_mu)
-    h.shards;
-  (!n, !sum, !mn, !mx, buckets)
 
 let stat_of = function
   | Icounter c -> Counter (Atomic.get c.c)
   | Igauge g -> Gauge (Atomic.get g.g)
   | Itimer t ->
       Timer { spans = Atomic.get t.spans; total_ns = Atomic.get t.total_ns }
-  | Ihist h ->
-      let n, sum, mn, mx, _ = hist_totals h in
-      Histogram { count = n; sum; min = mn; max = mx }
 
 let snapshot reg =
   StrMap.fold
@@ -335,8 +238,8 @@ let find reg name =
 
 let counter_value reg name =
   match find reg name with
-  | Some (Counter n) | Some (Gauge n) -> n
-  | _ -> 0
+  | Some (Counter n) | Some (Gauge n) | Some (Timer { spans = n; _ }) -> n
+  | None -> 0
 
 let reset reg =
   StrMap.iter
@@ -346,18 +249,7 @@ let reset reg =
       | Igauge g -> Atomic.set g.g 0
       | Itimer t ->
           Atomic.set t.spans 0;
-          Atomic.set t.total_ns 0
-      | Ihist h ->
-          Array.iter
-            (fun s ->
-              Mutex.lock s.s_mu;
-              s.n <- 0;
-              s.sum <- 0.;
-              s.mn <- infinity;
-              s.mx <- neg_infinity;
-              Array.fill s.buckets 0 (Array.length s.buckets) 0;
-              Mutex.unlock s.s_mu)
-            h.shards)
+          Atomic.set t.total_ns 0)
     (Atomic.get reg.map)
 
 let prefix_of name =
@@ -384,12 +276,6 @@ let pp_stat ppf = function
           Format.fprintf ppf ", %.0f/s"
             (float_of_int spans /. (float_of_int total_ns /. 1e9))
       end
-  | Histogram { count; sum; min; max } ->
-      if count = 0 then Format.fprintf ppf "0 observations"
-      else
-        Format.fprintf ppf "n=%d sum=%g mean=%g min=%g max=%g" count sum
-          (sum /. float_of_int count)
-          min max
 
 let pp ppf reg =
   let stats = snapshot reg in
@@ -644,13 +530,6 @@ let json_of_stat = function
            ("spans", Json.Int spans);
            ("total_ns", Json.Int total_ns) ]
         @ extra)
-  | Histogram { count; sum; min; max } ->
-      Json.Obj
-        [ ("type", Json.String "histogram");
-          ("count", Json.Int count);
-          ("sum", Json.Float sum);
-          ("min", if count = 0 then Json.Null else Json.Float min);
-          ("max", if count = 0 then Json.Null else Json.Float max) ]
 
 let to_json reg =
   Json.Obj (List.map (fun (name, st) -> (name, json_of_stat st)) (snapshot reg))
@@ -736,7 +615,6 @@ let openmetrics pairs =
               | Icounter _ -> "counter"
               | Igauge _ -> "gauge"
               | Itimer _ -> "summary"
-              | Ihist _ -> "histogram"
             in
             Buffer.add_string buf
               (Printf.sprintf "# HELP %s %s\n" om (om_escape name));
@@ -758,27 +636,6 @@ let openmetrics pairs =
                     Buffer.add_string buf
                       (Printf.sprintf "%s_sum%s %s\n" om l
                          (om_float (float_of_int (Atomic.get t.total_ns) /. 1e9)))
-                | Ihist _, Ihist h ->
-                    let n, sum, _, _, buckets = hist_totals h in
-                    let cum = ref 0 in
-                    let top = ref 0 in
-                    Array.iteri (fun i c -> if c > 0 then top := i) buckets;
-                    for i = 0 to !top do
-                      cum := !cum + buckets.(i);
-                      let le = om_float (Float.pow 2. (float_of_int i)) in
-                      Buffer.add_string buf
-                        (Printf.sprintf "%s_bucket%s %d\n" om
-                           (om_labels (lbls @ [ ("le", le) ]))
-                           !cum)
-                    done;
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_bucket%s %d\n" om
-                         (om_labels (lbls @ [ ("le", "+Inf") ]))
-                         n);
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_sum%s %s\n" om l (om_float sum));
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_count%s %d\n" om l n)
                 | _ -> (* kind clash across registries: skip the sample *) ())
               insts
       end)

@@ -1,5 +1,5 @@
-(** Zero-dependency run metrics: monotonic counters, gauges, span
-    timers and simple log-scale histograms, grouped in registries.
+(** Zero-dependency run metrics: monotonic counters, gauges and span
+    timers, grouped in registries.
 
     Every instrument is identified by a dotted name ([engine.instants],
     [compile.bdd_nodes], ...); the prefix before the first dot is the
@@ -12,14 +12,16 @@
     registries are for tests, for callers that need isolation, and for
     the per-request scopes minted by {!Obs.with_scope}.
 
-    Overhead is an atomic fetch-and-add per event and two monotonic
-    {!Clock.now_ns} reads per timed span — safe to leave enabled in
-    benches, and immune to wall-clock (NTP) steps. Counters, gauges
-    and timers are lock-free atomics and histograms shard their
-    accumulators by domain id, so every write path is safe from
-    several domains concurrently. Instrument creation is also
-    domain-safe: lookup is lock-free (one atomic load of an immutable
-    map), creation takes a short per-registry mutex.
+    Timers are not written by the instrumented libraries directly:
+    each {!Tracing.with_span} feeds the [global] timer named like its
+    span, with tracing on or off.
+
+    Overhead is an atomic fetch-and-add per event — safe to leave
+    enabled in benches. Counters, gauges and timers are lock-free
+    atomics, so every write path is safe from several domains
+    concurrently. Instrument creation is also domain-safe: lookup is
+    lock-free (one atomic load of an immutable map), creation takes a
+    short per-registry mutex.
 
     {b Ambient scopes.} When an observation scope is active on the
     calling domain (see {!Obs.with_scope}), every write to an
@@ -46,7 +48,6 @@ val create : unit -> registry
 type counter
 type gauge
 type timer
-type histogram
 
 val counter : ?registry:registry -> string -> counter
 (** Get or create the monotonic counter [name]. *)
@@ -65,23 +66,12 @@ val max_gauge : gauge -> int -> unit
 val timer : ?registry:registry -> string -> timer
 (** Get or create the span timer [name]: accumulates a span count and
     total elapsed nanoseconds, from which the report derives mean span
-    duration and spans/second. *)
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk as one span; the span is recorded even if the thunk
-    raises. *)
+    duration and spans/second. Instrumented code opens a
+    {!Tracing.with_span} instead of writing a timer. *)
 
 val add_span_ns : timer -> int -> unit
-(** Record one span of a given duration directly. *)
-
-val histogram : ?registry:registry -> string -> histogram
-(** Get or create the histogram [name]: tracks count, sum, min, max and
-    coarse base-2 magnitude buckets of observed values. *)
-
-val observe : histogram -> float -> unit
-(** Record one observation. Domain-safe: observations land in a
-    per-domain shard and are merged at read time, so concurrent
-    [observe] calls never lose events. *)
+(** Record one span of a given duration (what {!Tracing.with_span}
+    does when the span closes). *)
 
 (** {1 Ambient scope stack}
 
@@ -106,7 +96,6 @@ type stat =
   | Counter of int
   | Gauge of int
   | Timer of { spans : int; total_ns : int }
-  | Histogram of { count : int; sum : float; min : float; max : float }
 
 val snapshot : registry -> (string * stat) list
 (** All instruments, sorted by name. *)
@@ -114,14 +103,19 @@ val snapshot : registry -> (string * stat) list
 val find : registry -> string -> stat option
 
 val counter_value : registry -> string -> int
-(** Current value of counter (or gauge) [name]; 0 when absent. *)
+(** Current value of counter or gauge [name], or the span count of
+    timer [name]; 0 when absent. *)
 
 val reset : registry -> unit
 (** Zero every instrument, keeping the instrument set. *)
 
 val pp : Format.formatter -> registry -> unit
 (** Structured text report, one section per dotted-name prefix. Timers
-    render count, total, mean and rate (e.g. instants/sec). *)
+    render span count, total, mean and spans/sec. *)
+
+val pp_ns : Format.formatter -> int -> unit
+(** A nanosecond duration in the largest fitting unit
+    ([ns], [us], [ms], [s]). *)
 
 (** {1 JSON} *)
 
@@ -163,8 +157,7 @@ val to_openmetrics : ?labels:(string * string) list -> registry -> string
 (** Prometheus/OpenMetrics text exposition of one registry. Dotted
     names are sanitized to [[a-zA-Z0-9_:]] families; counters expose a
     [_total] sample, timers a [summary] ([_count] + [_sum] in
-    seconds), histograms cumulative power-of-two [le] buckets plus
-    [_sum]/[_count]. [labels] (e.g. [[("scope", "req-1")]]) ride on
+    seconds). [labels] (e.g. [[("scope", "req-1")]]) ride on
     every sample; label values are escaped per the spec. The document
     ends with [# EOF]. *)
 

@@ -50,9 +50,11 @@ let in_scope s f =
   Fun.protect
     ~finally:(fun () -> Metrics.ambient_pop ())
     (fun () ->
+      (* one span name for every scope, so its timer is one instrument
+         rather than one per label *)
       Tracing.with_span ~cat:"obs"
         ~args:[ ("scope", Tracing.Astr s.sc_label) ]
-        ("scope:" ^ s.sc_label) f)
+        "obs.scope" f)
 
 let with_scope ?label f =
   let label = match label with Some l -> l | None -> fresh_label () in
@@ -101,12 +103,6 @@ let to_openmetrics () =
 
 module J = Metrics.Json
 
-let json_of_arg = function
-  | Tracing.Abool b -> J.Bool b
-  | Tracing.Aint n -> J.Int n
-  | Tracing.Afloat f -> J.Float f
-  | Tracing.Astr s -> J.String s
-
 let fkind_name = function
   | Tracing.Fspan_begin -> "span_begin"
   | Tracing.Fspan_end -> "span_end"
@@ -123,7 +119,8 @@ let json_of_fevent (e : Tracing.fevent) =
     if e.f_args = [] then []
     else
       [ ( "args",
-          J.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) e.f_args) ) ])
+          J.Obj (List.map (fun (k, v) -> (k, Tracing.json_of_arg v)) e.f_args)
+        ) ])
 
 let dump_flight_recorder () =
   J.Obj

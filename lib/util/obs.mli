@@ -27,8 +27,8 @@ val scope_registry : scope -> Metrics.registry
 val with_scope : ?label:string -> (unit -> 'a) -> 'a
 (** Run the thunk with the labelled scope active on the calling domain
     (creating it on first use; a fresh [scope-N] label when omitted).
-    Also opens a [scope:<label>] trace span so everything recorded
-    inside nests under the scope in trace exports. *)
+    Also opens an [obs.scope] trace span (argument [scope=<label>]) so
+    everything recorded inside nests under the scope in trace exports. *)
 
 val in_scope : scope -> (unit -> 'a) -> 'a
 (** Like {!with_scope} for an already-created scope. *)

@@ -134,9 +134,6 @@ type fevent = {
 }
 
 let flight_capacity = 256
-let flight_flag = Atomic.make true
-let set_flight_enabled b = Atomic.set flight_flag b
-let flight_enabled () = Atomic.get flight_flag
 
 type fring = {
   f_dom : int;
@@ -158,13 +155,11 @@ let dls_fring =
       Mutex.unlock frings_lock;
       r)
 
-let flight_record f_kind f_name f_cat f_args =
-  if Atomic.get flight_flag then begin
-    let r = Domain.DLS.get dls_fring in
-    r.slots.(r.written mod flight_capacity) <-
-      Some { f_ts_ns = Clock.now_ns (); f_kind; f_name; f_cat; f_args };
-    r.written <- r.written + 1
-  end
+let flight_record f_ts_ns f_kind f_name f_cat f_args =
+  let r = Domain.DLS.get dls_fring in
+  r.slots.(r.written mod flight_capacity) <-
+    Some { f_ts_ns; f_kind; f_name; f_cat; f_args };
+  r.written <- r.written + 1
 
 let flight_events () =
   Mutex.lock frings_lock;
@@ -198,40 +193,44 @@ let flight_reset () =
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The one instrumentation call: one clock read at each edge feeds the
+   flight ring, the trace buffer (when tracing is on) and the global
+   timer named like the span, whether tracing is on or off. *)
 let with_span ?(cat = "toolchain") ?args name f =
   let args = match args with Some a -> a | None -> [] in
-  flight_record Fspan_begin name cat args;
-  if not (Atomic.get enabled_flag) then
-    if Atomic.get flight_flag then
-      Fun.protect
-        ~finally:(fun () -> flight_record Fspan_end name cat [])
-        f
-    else f ()
-  else begin
+  let timer = Metrics.timer name in
+  let t0 = Clock.now_ns () in
+  flight_record t0 Fspan_begin name cat args;
+  let traced = Atomic.get enabled_flag in
+  if traced then begin
     let d = Domain.DLS.get dls_ctx in
     let id = 1 + Atomic.fetch_and_add span_seq 1 in
     let parent = match d.open_spans with p :: _ -> p | [] -> d.base in
-    push (Begin { name; cat; ts_ns = Clock.now_ns (); args; id; parent });
-    d.open_spans <- id :: d.open_spans;
-    Fun.protect
-      ~finally:(fun () ->
+    push (Begin { name; cat; ts_ns = t0; args; id; parent });
+    d.open_spans <- id :: d.open_spans
+  end;
+  Fun.protect
+    ~finally:(fun () ->
+      let t1 = Clock.now_ns () in
+      flight_record t1 Fspan_end name cat [];
+      Metrics.add_span_ns timer (t1 - t0);
+      if traced then begin
         let d = Domain.DLS.get dls_ctx in
         (match d.open_spans with _ :: rest -> d.open_spans <- rest | [] -> ());
-        flight_record Fspan_end name cat [];
-        push (End { ts_ns = Clock.now_ns () }))
-      f
-  end
+        push (End { ts_ns = t1 })
+      end)
+    f
 
 let instant ?(cat = "toolchain") ?args name =
   let args = match args with Some a -> a | None -> [] in
-  flight_record Finstant name cat args;
-  if Atomic.get enabled_flag then
-    push (Inst { name; cat; ts_ns = Clock.now_ns (); args })
+  let ts_ns = Clock.now_ns () in
+  flight_record ts_ns Finstant name cat args;
+  if Atomic.get enabled_flag then push (Inst { name; cat; ts_ns; args })
 
 (* diagnostics feed the flight recorder (never the trace buffers: diag
    emission must not depend on tracing being enabled) *)
 let flight_diag ~severity ~code message =
-  flight_record Fdiag code "diag"
+  flight_record (Clock.now_ns ()) Fdiag code "diag"
     [ ("severity", Astr severity); ("message", Astr message) ]
 
 let lane_span ~lane ?(cat = "schedule") ?args ~ts_us ~dur_us name =
@@ -438,13 +437,6 @@ let to_chrome () =
 (* Text sink                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let pp_dur_ns ppf ns =
-  let f = float_of_int ns in
-  if f < 1e3 then Format.fprintf ppf "%d ns" ns
-  else if f < 1e6 then Format.fprintf ppf "%.1f us" (f /. 1e3)
-  else if f < 1e9 then Format.fprintf ppf "%.1f ms" (f /. 1e6)
-  else Format.fprintf ppf "%.2f s" (f /. 1e9)
-
 let pp_arg ppf (k, v) =
   match v with
   | Abool b -> Format.fprintf ppf "%s=%b" k b
@@ -509,7 +501,7 @@ let to_text () =
             in
             Format.fprintf ppf "%s%s (%a)%a@."
               (String.make (2 * (!depth + 1)) ' ')
-              name pp_dur_ns dur pp_args args;
+              name Metrics.pp_ns dur pp_args args;
             incr depth
           | End _ -> if !depth > 0 then decr depth
           | Inst { name; args; _ } ->

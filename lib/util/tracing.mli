@@ -18,10 +18,10 @@
       output send, deadline) reconstructed from an actual simulation.
 
     Tracing is globally off by default. Every emitting entry point
-    first reads one atomic flag and returns immediately when disabled
-    (an always-on bounded {{!section-flight}flight recorder} still
-    keeps the most recent events), so instrumented hot paths cost one
-    load per flag and no unbounded allocation. Recording is
+    reads one atomic flag and skips the trace buffer when disabled (an
+    always-on bounded {{!section-flight}flight recorder} still keeps
+    the most recent events), so instrumented hot paths cost no
+    unbounded allocation. Recording is
     multi-domain-safe; {!export}, {!events} and {!reset} must not race
     with emitting domains (collect after the parallel section joins,
     as {!Domain_pool.run_tasks} does). *)
@@ -46,8 +46,16 @@ val reset : unit -> unit
 val with_span :
   ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] as one host-time span on the calling
-    domain's lane. Spans nest by call structure (the span closes even
-    if [f] raises). When tracing is disabled this is [f ()]. *)
+    domain's lane: the one instrumentation call of a layer. It reads
+    the monotonic {!Clock} once at each edge and feeds the flight
+    recorder, the trace buffer (when tracing is enabled) and the
+    {!Metrics.global} timer [name] (one span, its duration), with
+    tracing on or off. Spans nest by call structure and close even if
+    [f] raises. A span never nests inside a span of the same name, so
+    a timer's total is wall time spent in its layer.
+
+    @raise Invalid_argument if [name] is already a counter or gauge of
+    {!Metrics.global}. *)
 
 val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 (** A point event at the current host time. *)
@@ -132,10 +140,13 @@ val to_text : unit -> string
 val write : format:[ `Chrome | `Text ] -> string -> unit
 (** Render with {!to_chrome} or {!to_text} and write to the path. *)
 
+val json_of_arg : arg -> Metrics.Json.t
+(** An argument value as JSON, as both exports render it. *)
+
 (** {1:flight Flight recorder}
 
     A bounded ring of the most recent span/instant/diagnostic events,
-    one ring per domain, on by default even when tracing is disabled.
+    one ring per domain, always on, even when tracing is disabled.
     Each domain writes only its own ring (no locks, one array store
     per event); once full, the oldest events are overwritten. The
     snapshot is attached to [--format json] error output so a failed
@@ -153,11 +164,6 @@ type fevent = {
 
 val flight_capacity : int
 (** Ring size per domain (events kept before overwrite). *)
-
-val set_flight_enabled : bool -> unit
-(** Turn the recorder off (or back on); it starts enabled. *)
-
-val flight_enabled : unit -> bool
 
 val flight_diag : severity:string -> code:string -> string -> unit
 (** Record a diagnostic event (called by {!Diag} on every diagnostic,

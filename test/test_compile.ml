@@ -315,17 +315,18 @@ let prop_random_equivalence =
              Signal_lang.Pp.pp_process p;
            false))
 
+let counter_kernel name =
+  N.process_exn
+    (B.proc ~name
+       ~inputs:[ Ast.var "e" Types.Tevent ]
+       ~outputs:[ Ast.var "n" Types.Tint ]
+       B.[ inst ~label:"c" "counter" [ v "e" ] [ "n" ] ])
+
 (* [compile] memoizes the plan and returns fresh instances: stepping
    one instance must never leak into another, and the memoized path
    must behave exactly like a cold compilation *)
 let test_memoized_instances_independent () =
-  let p =
-    B.proc ~name:"use_counter_memo"
-      ~inputs:[ Ast.var "e" Types.Tevent ]
-      ~outputs:[ Ast.var "n" Types.Tint ]
-      B.[ inst ~label:"c" "counter" [ v "e" ] [ "n" ] ]
-  in
-  let kp = N.process_exn p in
+  let kp = counter_kernel "use_counter_memo" in
   let c1 = Result.get_ok (Compile.compile kp) in
   let c2 = Result.get_ok (Compile.compile kp) in
   let d0 = Compile.state_digest c2 in
@@ -348,6 +349,32 @@ let test_memoized_instances_independent () =
   let c3 = Result.get_ok (Compile.compile_uncached kp) in
   Alcotest.(check bool) "cold compile agrees" true (step c3 = Some (vi 1))
 
+(* the span timers a plan build and a batched run feed *)
+let span_count name =
+  Putil.Metrics.counter_value Putil.Metrics.global name
+
+(* regression: [compile_uncached] used to build its plan outside any
+   [compile.plan] span, so traces missed those builds *)
+let test_uncached_plan_span () =
+  let kp = counter_kernel "use_counter_uncached_span" in
+  let s0 = span_count "compile.plan" in
+  ignore (Result.get_ok (Compile.compile_uncached kp));
+  Alcotest.(check int) "one compile.plan span per uncached build" (s0 + 1)
+    (span_count "compile.plan")
+
+(* regression: the step loop used to drop its timing when [fill] raised
+   anything but a compile error *)
+let test_step_span_on_raise () =
+  let c =
+    Result.get_ok (Compile.compile (counter_kernel "use_counter_step_raise"))
+  in
+  let s0 = span_count "compile.step" in
+  (match Compile.run_batched c ~n:3 ~fill:(fun _ _ -> raise Exit) with
+   | _ -> Alcotest.fail "run_batched returned although fill raised"
+   | exception Exit -> ());
+  Alcotest.(check int) "the raising run still counts one compile.step span"
+    (s0 + 1) (span_count "compile.step")
+
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_equivalence ]
 
 let suite =
@@ -362,6 +389,10 @@ let suite =
          test_case_study_equiv;
        Alcotest.test_case "case study plan" `Quick
          test_case_study_plan_properties;
+       Alcotest.test_case "uncached build is a compile.plan span" `Quick
+         test_uncached_plan_span;
+       Alcotest.test_case "raising fill still counts a compile.step span"
+         `Quick test_step_span_on_raise;
        Alcotest.test_case "memoized instances independent" `Quick
          test_memoized_instances_independent ]
      @ qsuite) ]

@@ -396,14 +396,14 @@ let test_compiled_plan_reuse_after_timing_edit () =
   let a1 = analyze_ok ~session (edited_source ()) in
   Alcotest.(check string) "kernel digest invariant"
     (K.digest a0.P.kernel) (K.digest a1.P.kernel);
-  let builds0 = counter "compile.plan_builds" in
+  let builds0 = counter "compile.plan" in
   let tr_warm =
     match P.simulate ~compiled:true a1 with
     | Ok tr -> tr
     | Error ds -> Alcotest.fail (Putil.Diag.list_to_string ds)
   in
   Alcotest.(check int) "compiled plan reused, not rebuilt" builds0
-    (counter "compile.plan_builds");
+    (counter "compile.plan");
   Clocks.Calculus.reset_cache ();
   let tr_cold =
     match P.simulate ~compiled:true (analyze_ok (edited_source ())) with

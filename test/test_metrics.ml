@@ -28,32 +28,30 @@ let test_gauges_and_timers () =
   Alcotest.(check int) "max_gauge keeps the max" 7 (M.counter_value r "t.level");
   M.max_gauge g 9;
   Alcotest.(check int) "max_gauge raises" 9 (M.counter_value r "t.level");
-  let tm = M.timer ~registry:r "t.work_ns" in
-  let x = M.time tm (fun () -> 5) in
-  Alcotest.(check int) "time returns the thunk value" 5 x;
-  (try M.time tm (fun () -> failwith "boom") with Failure _ -> 0) |> ignore;
+  let tm = M.timer ~registry:r "t.work" in
   M.add_span_ns tm 1_000;
-  (match M.find r "t.work_ns" with
+  M.add_span_ns tm 500;
+  (match M.find r "t.work" with
    | Some (M.Timer { spans; total_ns }) ->
-     Alcotest.(check int) "spans recorded, raising thunk included" 3 spans;
-     Alcotest.(check bool) "total accumulates" true (total_ns >= 1_000)
+     Alcotest.(check int) "spans recorded" 2 spans;
+     Alcotest.(check int) "total accumulates" 1_500 total_ns
    | _ -> Alcotest.fail "timer stat missing");
+  Alcotest.(check int) "counter_value reads a timer's span count" 2
+    (M.counter_value r "t.work");
+  (* a span feeds the global timer named like it, raising thunk
+     included *)
+  let spans () = M.counter_value M.global "t.with_span" in
+  let s0 = spans () in
+  let x = Putil.Tracing.with_span "t.with_span" (fun () -> 5) in
+  Alcotest.(check int) "with_span returns the thunk value" 5 x;
+  (try Putil.Tracing.with_span "t.with_span" (fun () -> failwith "boom")
+   with Failure _ -> ());
+  Alcotest.(check int) "one timer span per with_span, raising included"
+    (s0 + 2) (spans ());
   (* name reuse with a different kind is a programming error *)
-  match M.gauge ~registry:r "t.work_ns" with
+  match M.gauge ~registry:r "t.work" with
   | _ -> Alcotest.fail "kind mismatch accepted"
   | exception Invalid_argument _ -> ()
-
-let test_histogram () =
-  let r = M.create () in
-  let h = M.histogram ~registry:r "t.sizes" in
-  List.iter (M.observe h) [ 1.0; 4.0; 16.0 ];
-  match M.find r "t.sizes" with
-  | Some (M.Histogram { count; sum; min; max }) ->
-    Alcotest.(check int) "count" 3 count;
-    Alcotest.(check (float 1e-9)) "sum" 21.0 sum;
-    Alcotest.(check (float 1e-9)) "min" 1.0 min;
-    Alcotest.(check (float 1e-9)) "max" 16.0 max
-  | _ -> Alcotest.fail "histogram stat missing"
 
 (* minimal RFC 8259 well-formedness checker, enough to validate our own
    serializer's output without an external JSON dependency *)
@@ -175,7 +173,6 @@ let test_json_well_formed () =
   M.incr (M.counter ~registry:r "a.count");
   M.set (M.gauge ~registry:r "a.level") (-3);
   M.add_span_ns (M.timer ~registry:r "a.span_ns") 500;
-  M.observe (M.histogram ~registry:r "a.h") 2.5;
   let s = M.Json.to_string (M.to_json r) in
   Alcotest.(check bool) "registry JSON is well-formed" true (json_well_formed s);
   (* tricky leaves: escapes, non-finite floats as null *)
@@ -213,10 +210,10 @@ let test_pipeline_feeds_global () =
       (M.counter_value M.global name > 0)
   in
   List.iter nonzero
-    [ "engine.instants"; "engine.fixpoint_iters"; "calculus.analyses";
+    [ "engine.instants"; "engine.fixpoint_iters"; "clocks.calculus";
       "calculus.uf_finds"; "calculus.signals"; "compile.compilations";
-      "compile.instants"; "compile.bdd_nodes"; "trans.translations";
-      "trans.processes"; "trans.equations"; "sched.syntheses";
+      "compile.instants"; "compile.bdd_nodes"; "trans.system";
+      "trans.processes"; "trans.equations"; "sched.synthesize";
       "sched.jobs_placed" ];
   let s = M.Json.to_string (Polychrony.Pipeline.stats_json ()) in
   Alcotest.(check bool) "stats_json is well-formed JSON" true
@@ -236,29 +233,6 @@ let test_pipeline_feeds_global () =
     [ "[engine]"; "[compile]"; "[calculus]"; "[trans]"; "[sched]" ]
 
 (* ---------------- domain safety ------------------------------------ *)
-
-(* 4 domains hammer one histogram: the sharded accumulator must lose no
-   observation and keep an exact sum (each domain observes 1..per_dom) *)
-let test_histogram_domain_stress () =
-  let r = M.create () in
-  let h = M.histogram ~registry:r "t.stress" in
-  let domains = 4 and per_dom = 10_000 in
-  let work () =
-    for i = 1 to per_dom do
-      M.observe h (float_of_int i)
-    done
-  in
-  let ds = List.init domains (fun _ -> Domain.spawn work) in
-  List.iter Domain.join ds;
-  match M.find r "t.stress" with
-  | Some (M.Histogram { count; sum; min; max }) ->
-    Alcotest.(check int) "no observation lost" (domains * per_dom) count;
-    Alcotest.(check (float 1e-6)) "exact sum"
-      (float_of_int domains *. float_of_int (per_dom * (per_dom + 1) / 2))
-      sum;
-    Alcotest.(check (float 1e-9)) "min" 1.0 min;
-    Alcotest.(check (float 1e-9)) "max" (float_of_int per_dom) max
-  | _ -> Alcotest.fail "histogram stat missing"
 
 (* 4 domains race get-or-create over the same names while incrementing:
    every domain must end up on the same cell (no lost updates, no
@@ -291,8 +265,6 @@ let test_openmetrics_golden () =
   M.incr ~by:42 (M.counter ~registry:r "om.hits");
   M.set (M.gauge ~registry:r "om.level") (-3);
   M.add_span_ns (M.timer ~registry:r "om.work_ns") 2_500_000_000;
-  let h = M.histogram ~registry:r "om.sizes" in
-  List.iter (M.observe h) [ 0.5; 3.0; 3.5 ];
   let expected =
     String.concat ""
       [ "# HELP om_hits om.hits\n";
@@ -301,14 +273,6 @@ let test_openmetrics_golden () =
         "# HELP om_level om.level\n";
         "# TYPE om_level gauge\n";
         "om_level{scope=\"s \\\"x\\\"\"} -3\n";
-        "# HELP om_sizes om.sizes\n";
-        "# TYPE om_sizes histogram\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"1\"} 1\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"2\"} 1\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"4\"} 3\n";
-        "om_sizes_bucket{scope=\"s \\\"x\\\"\",le=\"+Inf\"} 3\n";
-        "om_sizes_sum{scope=\"s \\\"x\\\"\"} 7\n";
-        "om_sizes_count{scope=\"s \\\"x\\\"\"} 3\n";
         "# HELP om_work_ns om.work_ns\n";
         "# TYPE om_work_ns summary\n";
         "om_work_ns_count{scope=\"s \\\"x\\\"\"} 1\n";
@@ -320,7 +284,7 @@ let test_openmetrics_golden () =
 
 (* property: whatever the instrument names, the exposition is
    well-formed — sanitized name charset, one # TYPE per family,
-   monotone cumulative buckets, # EOF terminator *)
+   # EOF terminator *)
 let om_name_ok name =
   name <> ""
   && (match name.[0] with
@@ -378,14 +342,10 @@ let qcheck_openmetrics =
       let r = M.create () in
       List.iteri
         (fun i name ->
-          match i mod 4 with
+          match i mod 3 with
           | 0 -> M.incr ~by:i (M.counter ~registry:r name)
           | 1 -> M.set (M.gauge ~registry:r name) i
-          | 2 -> M.add_span_ns (M.timer ~registry:r name) (i * 1000)
-          | _ ->
-            let h = M.histogram ~registry:r name in
-            M.observe h (float_of_int i);
-            M.observe h (float_of_int (i * 100)))
+          | _ -> M.add_span_ns (M.timer ~registry:r name) (i * 1000))
         names;
       let text = M.to_openmetrics ~labels:[ ("q", "v\"\\\n") ] r in
       (* each family declared exactly once *)
@@ -398,47 +358,14 @@ let qcheck_openmetrics =
       = List.length type_lines
       && exposition_well_formed text)
 
-(* cumulative histogram buckets never decrease and end at the count *)
-let test_openmetrics_bucket_monotone () =
-  let r = M.create () in
-  let h = M.histogram ~registry:r "om.mono" in
-  List.iter (M.observe h) [ 0.1; 1.5; 2.5; 100.0; 100.0; 7.0 ];
-  let text = M.to_openmetrics r in
-  let buckets =
-    List.filter_map
-      (fun line ->
-        if String.length line > 15 && String.sub line 0 15 = "om_mono_bucket{"
-        then
-          match String.rindex_opt line ' ' with
-          | Some i ->
-            int_of_string_opt
-              (String.sub line (i + 1) (String.length line - i - 1))
-          | None -> None
-        else None)
-      (String.split_on_char '\n' text)
-  in
-  Alcotest.(check bool) "at least the +Inf bucket" true (buckets <> []);
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "cumulative buckets monotone" true (monotone buckets);
-  Alcotest.(check int) "+Inf bucket equals the count" 6
-    (List.nth buckets (List.length buckets - 1))
-
 let suite =
   [ ("metrics",
      [ Alcotest.test_case "counters" `Quick test_counters;
        Alcotest.test_case "gauges and timers" `Quick test_gauges_and_timers;
-       Alcotest.test_case "histogram" `Quick test_histogram;
        Alcotest.test_case "json well-formed" `Quick test_json_well_formed;
-       Alcotest.test_case "histogram domain stress" `Quick
-         test_histogram_domain_stress;
        Alcotest.test_case "instrument creation race" `Quick
          test_creation_race;
        Alcotest.test_case "openmetrics golden" `Quick test_openmetrics_golden;
-       Alcotest.test_case "openmetrics bucket monotone" `Quick
-         test_openmetrics_bucket_monotone;
        QCheck_alcotest.to_alcotest qcheck_openmetrics;
        Alcotest.test_case "pipeline feeds global registry" `Quick
          test_pipeline_feeds_global ]) ]

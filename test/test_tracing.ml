@@ -437,6 +437,122 @@ let test_domain_pool_emission () =
       Alcotest.(check int) "balanced per domain" 0 d)
     per_domain
 
+(* ---------------- one call per layer ------------------------------ *)
+
+module M = Putil.Metrics
+
+(* every layer of the analyze → simulate → verify loop, by span name *)
+let layers =
+  [ "aadl.parse"; "aadl.check"; "aadl.instantiate"; "trans.system";
+    "trans.thread"; "sched.synthesize"; "signal_lang.typecheck";
+    "signal_lang.normalize"; "clocks.calculus"; "analysis.determinism";
+    "analysis.deadlock"; "util.store_get"; "util.store_put";
+    "pipeline.analyze"; "compile.plan"; "compile.step"; "pipeline.simulate";
+    "explore.sym.check"; "explore.check" ]
+
+let timer_spans name =
+  match M.find M.global name with
+  | Some (M.Timer { spans; _ }) -> Some spans
+  | _ -> None
+
+(* A cold case-study analyze on a fresh store, a compiled simulate and
+   an Auto verify (symbolic gives up, explicit decides). *)
+let run_loop () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "layers_%d_%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  Fun.protect ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Unix.rmdir dir
+      end)
+  @@ fun () ->
+  let store =
+    match Putil.Cache_store.open_store dir with
+    | Ok s -> s
+    | Error m -> Alcotest.fail ("open_store: " ^ m)
+  in
+  Clocks.Calculus.reset_cache ();
+  let a =
+    match
+      P.analyze ~session:(P.new_session ~store ())
+        ~registry:Polychrony.Case_study.registry_nominal
+        Polychrony.Case_study.aadl_source
+    with
+    | Ok a -> a
+    | Error _ -> Alcotest.fail "case study does not analyze"
+  in
+  (match P.simulate ~compiled:true ~hyperperiods:1 a with
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "case study does not simulate");
+  match P.verify ~depth:2 ~jobs:1 ~engine:`Auto ~never:"Alarm" a with
+  | Ok (_, _, `Explicit) -> ()
+  | Ok (_, _, `Symbolic) -> Alcotest.fail "expected the explicit engine"
+  | Error d -> Alcotest.fail (Putil.Diag.to_string d)
+
+let test_layers_feed_timers () =
+  T.set_enabled false;
+  let snapshot () = List.map (fun name -> (name, timer_spans name)) layers in
+  let before = snapshot () in
+  run_loop ();
+  (* the run is cold except for the process-wide plan memo, which an
+     earlier test may have filled: that layer needs only some span *)
+  List.iter2
+    (fun (name, spans0) (_, spans1) ->
+      let spans0 =
+        if name = "compile.plan" then Some 0 else spans0
+      in
+      match (spans1, spans0) with
+      | Some n, None when n > 0 -> ()
+      | Some n, Some n0 when n > n0 -> ()
+      | _ -> Alcotest.failf "%s: no timer span with tracing off" name)
+    before (snapshot ());
+  (* with tracing on, each layer's Begin events are its timer's delta,
+     and no span opens inside an open span of the same name *)
+  let before = snapshot () in
+  let evs =
+    with_fresh_trace @@ fun () ->
+    run_loop ();
+    T.set_enabled false;
+    T.events ()
+  in
+  List.iter
+    (fun (_, evs) ->
+      ignore
+        (List.fold_left
+           (fun open_ ev ->
+             match ev with
+             | T.Begin { name; _ } ->
+               if List.mem name open_ then
+                 Alcotest.failf "%s opened inside a %s span" name name;
+               name :: open_
+             | T.End _ -> (match open_ with _ :: tl -> tl | [] -> [])
+             | _ -> open_)
+           [] evs))
+    evs;
+  List.iter
+    (fun (name, spans0) ->
+      let begins =
+        List.fold_left
+          (fun acc (_, evs) ->
+            List.fold_left
+              (fun acc -> function
+                | T.Begin { name = n; _ } when n = name -> acc + 1
+                | _ -> acc)
+              acc evs)
+          0 evs
+      in
+      Alcotest.(check int)
+        (name ^ ": Begin events = timer delta")
+        begins
+        (Option.value ~default:0 (timer_spans name)
+        - Option.value ~default:0 spans0))
+    before
+
 let suite =
   [ ("tracing",
      [ Alcotest.test_case "span nesting and args" `Quick test_span_nesting;
@@ -454,4 +570,6 @@ let suite =
        Alcotest.test_case "deadline-miss timeline" `Quick
          test_deadline_miss_timeline;
        Alcotest.test_case "domain-pool emission" `Quick
-         test_domain_pool_emission ]) ]
+         test_domain_pool_emission;
+       Alcotest.test_case "every layer feeds its timer with tracing off"
+         `Quick test_layers_feed_timers ]) ]
