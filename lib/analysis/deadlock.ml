@@ -66,14 +66,11 @@ let analyze ?calc ?extra_edges kp =
       (* the cycle is harmful iff the conjunction of the members'
          clocks is satisfiable under Φ *)
       try
-        Clocks.Calculus.with_query_lock c @@ fun () ->
-        let mgr = Clocks.Calculus.manager c in
-        let conj =
-          List.fold_left
-            (fun acc x -> Clocks.Bdd.and_ mgr acc (Clocks.Calculus.clock_of c x))
-            (Clocks.Calculus.context c) members
-        in
-        not (Clocks.Bdd.is_zero conj)
+        not
+          (Clocks.Bdd.conj_empty (Clocks.Calculus.manager c)
+             ((Clocks.Calculus.context c, false)
+             :: List.map (fun x -> (Clocks.Calculus.clock_of c x, false))
+                  members))
       with Not_found -> true)
   in
   let cycles =

@@ -271,8 +271,129 @@ let equal (a : t) (b : t) = a = b
 let is_zero a = a = 0
 let is_one a = a = 1
 
-let implies m a b = is_zero (diff m a b)
-let exclusive m a b = is_zero (and_ m a b)
+(* ------------------------------------------------------------------ *)
+(* Node-free emptiness of a conjunction of literals                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A literal is a node read as is or complemented, packed as
+   [2 * node + neg]. A complemented node whose negation is already
+   hash-consed is read as that node, so [a] and [¬a] meet as one pair
+   of nodes whichever way the caller wrote them. The constants get the
+   codes [lit_true] and [lit_false]. *)
+let lit_true = -1
+let lit_false = -2
+
+let lit m n neg =
+  if n <= 1 then if (n = 1) <> neg then lit_true else lit_false
+  else if not neg then 2 * n
+  else
+    let c = m.not_of.(n) in
+    if c >= 0 then 2 * c else (2 * n) + 1
+
+let complementary m x l =
+  x lxor l = 1
+  || (x land 1 = 0 && l land 1 = 0 && m.not_of.(x lsr 1) = l lsr 1)
+
+(* cofactor of literal [l] at variable [v] (the lowest top variable) *)
+let cofactor m l v hi =
+  let n = l lsr 1 in
+  let n =
+    if m.var_of.(n) <> v then n else if hi then m.high_of.(n) else m.low_of.(n)
+  in
+  lit m n (l land 1 = 1)
+
+exception Empty_lit
+
+(* [add_lit m l ls] conjoins literal code [l] into [ls], a sorted
+   duplicate-free list of non-terminal literals; raises [Empty_lit]
+   when the conjunction is the constant false. *)
+let add_lit m l ls =
+  if l = lit_true then ls
+  else if l = lit_false || List.exists (complementary m l) ls then
+    raise Empty_lit
+  else
+    let rec insert = function
+      | [] -> [ l ]
+      | x :: _ as ls when l < x -> l :: ls
+      | x :: _ as ls when l = x -> ls
+      | x :: rest -> x :: insert rest
+    in
+    insert ls
+
+(* Depth-first walk of the product of the literals' BDDs, cofactoring
+   on the lowest top variable. It reads the node arrays only, stops at
+   the first path on which every literal holds, and remembers the
+   sub-products it proved empty for the rest of the call (pairs under
+   a packed int key, larger products under their literal list). A
+   single non-terminal literal is satisfiable: reduced nodes are never
+   constant. Two literals, the common case, walk without lists. *)
+let conj_empty m lits =
+  let empty_pairs = ref None and empty_lists = ref None in
+  let known tbl key =
+    match !tbl with Some t -> Hashtbl.mem t key | None -> false
+  in
+  let remember tbl key =
+    let t =
+      match !tbl with
+      | Some t -> t
+      | None ->
+        let t = Hashtbl.create 16 in
+        tbl := Some t;
+        t
+    in
+    Hashtbl.replace t key ()
+  in
+  let rec pair_empty a b =
+    if a = b then false
+    else if complementary m a b then true
+    else begin
+      let key = if a < b then (a lsl 31) lor b else (b lsl 31) lor a in
+      known empty_pairs key
+      || begin
+        let v = min m.var_of.(a lsr 1) m.var_of.(b lsr 1) in
+        let branch hi =
+          let a' = cofactor m a v hi and b' = cofactor m b v hi in
+          if a' = lit_false || b' = lit_false then true
+          else if a' = lit_true || b' = lit_true then false
+          else pair_empty a' b'
+        in
+        let r = branch false && branch true in
+        if r then remember empty_pairs key;
+        r
+      end
+    end
+  in
+  let rec empty = function
+    | [] | [ _ ] -> false
+    | [ a; b ] -> pair_empty a b
+    | ls ->
+      known empty_lists ls
+      || begin
+        let v =
+          List.fold_left (fun v l -> min v m.var_of.(l lsr 1)) max_int ls
+        in
+        let branch hi =
+          match
+            List.fold_left
+              (fun acc l -> add_lit m (cofactor m l v hi) acc)
+              [] ls
+          with
+          | exception Empty_lit -> true
+          | ls' -> empty ls'
+        in
+        let r = branch false && branch true in
+        if r then remember empty_lists ls;
+        r
+      end
+  in
+  match
+    List.fold_left (fun acc (n, neg) -> add_lit m (lit m n neg) acc) [] lits
+  with
+  | exception Empty_lit -> true
+  | ls -> empty ls
+
+let implies m a b = conj_empty m [ (a, false); (b, true) ]
+let exclusive m a b = conj_empty m [ (a, false); (b, false) ]
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic-reachability primitives: quantification, relational

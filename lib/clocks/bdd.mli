@@ -2,11 +2,23 @@
 
     The clock calculus encodes clocks as boolean functions over
     presence and condition variables; BDDs give canonical forms, so
-    clock equality, inclusion and exclusion are O(1)/O(n·m) decisions.
-    Nodes are hash-consed: structural equality is physical equality.
+    clock equality is O(1), and inclusion, exclusion and emptiness
+    under a context are decided by {!conj_empty} without building the
+    conjunction. Nodes are hash-consed: structural equality is
+    physical equality.
 
     A fresh manager is cheap; all nodes belong to the manager that
-    created them and must not be mixed across managers. *)
+    created them and must not be mixed across managers.
+
+    Operations fall in two groups. The {e node-creating} ones ({!var},
+    {!not_}, {!and_}, {!or_}, {!xor_}, {!diff}, {!imp}, {!cube},
+    {!exists}, {!and_exists}, {!rename}, {!gc}) write the manager's
+    node arrays, unique table and caches; a manager is single-writer.
+    The {e read-only} ones ({!conj_empty}, {!implies}, {!exclusive},
+    {!eval}, {!view}, {!support}, {!any_sat}, {!sat_count}, {!pp} and
+    the counters) write nothing, so once no more nodes are created —
+    a {e frozen} manager, like the one a clock-calculus analysis
+    publishes — any number of domains may run them concurrently. *)
 
 type manager
 type t
@@ -37,11 +49,21 @@ val equal : t -> t -> bool
 val is_zero : t -> bool
 val is_one : t -> bool
 
+val conj_empty : manager -> (t * bool) list -> bool
+(** [conj_empty m lits] iff the conjunction of the literals is
+    unsatisfiable, where [(a, false)] reads [a] and [(a, true)] reads
+    [¬a]. The empty list is the constant true. Read-only: a
+    depth-first walk of the product that creates no node, stops at the
+    first satisfying path and keeps a per-call table of the
+    sub-products it found empty. *)
+
 val implies : manager -> t -> t -> bool
-(** [implies m a b] iff [a ∧ ¬b] is unsatisfiable. *)
+(** [implies m a b] iff [a ∧ ¬b] is unsatisfiable ({!conj_empty} with
+    [b] complemented; read-only). *)
 
 val exclusive : manager -> t -> t -> bool
-(** [exclusive m a b] iff [a ∧ b] is unsatisfiable. *)
+(** [exclusive m a b] iff [a ∧ b] is unsatisfiable ({!conj_empty};
+    read-only). *)
 
 val cube : manager -> int list -> t
 (** The conjunction of positive literals over the given variables; the

@@ -93,12 +93,6 @@ type t = {
   mutable var_doc :
     (int * [ `Present of int | `Cond of Ast.ident
            | `CondEq of Ast.ident * int ]) list;
-  qmu : Mutex.t;
-      (* serializes post-analysis BDD work on [mgr]: query functions
-         here plus consumers that borrow the manager through
-         [with_query_lock]. The memoized state is shared across
-         domains (concurrent pipeline sessions), and BDD [apply]
-         mutates the manager's unique table and caches. *)
 }
 
 let sig_index st x =
@@ -279,8 +273,7 @@ let analyze_impl (kp : K.kprocess) =
     { mgr; tab; names; uf; class_ids; reprs;
       clocks = Array.make (max nclasses 1) (Bdd.one mgr);
       phi = Bdd.one mgr; confl = [];
-      cond_vars = Hashtbl.create 16; nvars = 0; var_doc = [];
-      qmu = Mutex.create () }
+      cond_vars = Hashtbl.create 16; nvars = 0; var_doc = [] }
   in
   let defmap = defmap_of kp in
   let atrue = always_true_set kp defmap in
@@ -498,13 +491,11 @@ let analyze_impl (kp : K.kprocess) =
   st
 
 (* Analyses are memoized on the kernel's structural digest: the state
-   is only mutated during [analyze_impl], so handing the same [t] to
-   every caller is sound (later query functions touch only the BDD
-   manager's caches, not the analysis result). The memo computes under
-   its own lock, so the explorer's worker domains may consult it and
-   concurrent callers never analyze one kernel twice. Queries on a
-   shared [t] serialize on the state's query mutex — see the interface
-   notes. *)
+   and its BDD manager are only mutated during [analyze_impl], and
+   every later query reads them without creating a node, so handing
+   the same [t] to every caller, on any domain, is sound. The memo
+   computes under its own lock, so the explorer's worker domains may
+   consult it and concurrent callers never analyze one kernel twice. *)
 let memo : t Putil.Memo.t = Putil.Memo.create ~cap:256 "incr.calculus"
 
 let analyze kp =
@@ -572,34 +563,30 @@ let representative st x =
   let c = class_of_exn st x in
   st.names.(st.reprs.(c))
 
-(* Post-analysis queries below conjoin BDDs, which mutates the shared
-   manager's unique table and caches — and one memoized [t] is handed
-   to every caller, concurrent pipeline sessions included. [qmu]
-   serializes those mutations; pure array reads (class ids, clocks,
-   representatives) stay lock-free. *)
-let with_query_lock st f = Mutex.protect st.qmu f
-
+(* Post-analysis queries are emptiness tests under Φ that create no
+   node: the memoized manager is frozen once [analyze] publishes it,
+   so one [t] serves concurrent pipeline sessions without a lock. *)
 let is_null st x =
-  with_query_lock st @@ fun () ->
-  Bdd.is_zero (Bdd.and_ st.mgr st.phi (clock_of st x))
+  Bdd.conj_empty st.mgr [ (st.phi, false); (clock_of st x, false) ]
 
 let subclock st a b =
-  with_query_lock st @@ fun () ->
-  Bdd.is_zero
-    (Bdd.and_ st.mgr st.phi (Bdd.diff st.mgr (clock_of st a) (clock_of st b)))
+  Bdd.conj_empty st.mgr
+    [ (st.phi, false); (clock_of st a, false); (clock_of st b, true) ]
 
 let exclusive st a b =
-  with_query_lock st @@ fun () ->
-  Bdd.is_zero
-    (Bdd.and_ st.mgr st.phi (Bdd.and_ st.mgr (clock_of st a) (clock_of st b)))
+  Bdd.conj_empty st.mgr
+    [ (st.phi, false); (clock_of st a, false); (clock_of st b, false) ]
 
 let null_signals st =
+  Putil.Tracing.with_span "clocks.null_signals"
+    ~args:[ ("classes", Putil.Tracing.Aint (Array.length st.reprs)) ]
+  @@ fun () ->
   (* Nullness is a property of the synchronization class: test each
      class once against Φ instead of each signal (typically 3-4×
-     fewer BDD conjunctions). *)
+     fewer emptiness tests). *)
   let null_class =
-    with_query_lock st @@ fun () ->
-    Array.map (fun c -> Bdd.is_zero (Bdd.and_ st.mgr st.phi c)) st.clocks
+    Array.map (fun c -> Bdd.conj_empty st.mgr [ (st.phi, false); (c, false) ])
+      st.clocks
   in
   let n = K.st_count st.tab in
   let acc = ref [] in
@@ -618,7 +605,6 @@ let pp_var st ppf v =
   | None -> Format.fprintf ppf "v%d" v
 
 let pp_clock st ppf x =
-  with_query_lock st @@ fun () ->
   Bdd.pp st.mgr ~pp_var:(pp_var st) ppf (clock_of st x)
 
 let pp_summary ppf st =

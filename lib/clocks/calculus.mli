@@ -24,12 +24,13 @@ val analyze : Signal_lang.Kernel.kprocess -> t
     manager), so repeated pipeline runs pay for the clock calculus
     once. The memo counts its traffic as [incr.calculus.ran] /
     [incr.calculus.skipped] and computes under its own lock, so it is
-    safe to consult from several domains. So is the returned [t]:
-    queries that conjoin BDDs ({!is_null}, {!subclock}, {!exclusive},
-    {!null_signals}, {!pp_clock}) serialize on a per-state mutex,
-    since BDD application mutates the shared manager's unique table
-    and caches. Pure array reads (class ids, clocks, representatives)
-    stay lock-free. *)
+    safe to consult from several domains. So is the returned [t]: its
+    manager is {e frozen} once published — every query below decides
+    emptiness with {!Bdd.conj_empty} and creates no node — so any
+    number of domains may query one analysis, and consumers may read
+    its manager ({!Bdd.eval}, {!Bdd.view}, {!Bdd.support},
+    {!Bdd.conj_empty}, ...) without a lock. They must not create nodes
+    on it. *)
 
 val reset_cache : unit -> unit
 (** Drop the analysis memo (cold-start benchmarking; safe to call
@@ -37,17 +38,8 @@ val reset_cache : unit -> unit
 
 (** {1 Queries} *)
 
-val with_query_lock : t -> (unit -> 'a) -> 'a
-(** Run [f] holding the state's query mutex. Consumers that borrow the
-    manager (via {!manager}) to do their own BDD application must wrap
-    that work here, or it races with concurrent locked queries on the
-    shared analysis. Inside the callback, use only the lock-free
-    accessors ({!manager}, {!context}, {!clock_of},
-    {!clock_of_class_id}, {!class_reprs}, {!var_kind}, ...); calling a
-    locked query ({!is_null}, {!subclock}, {!exclusive},
-    {!null_signals}, {!pp_clock}) deadlocks. *)
-
 val manager : t -> Bdd.manager
+(** The analysis's frozen manager: read-only operations only. *)
 
 val clocked_decls :
   t -> Signal_lang.Ast.clocked Signal_lang.Ast.gvardecl list

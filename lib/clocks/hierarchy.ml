@@ -13,7 +13,6 @@ type t = {
 
 let m_depth = Putil.Metrics.gauge "calculus.hierarchy_depth"
 
-(* c1 strictly below c2: c1 ⊆ c2 and not c2 ⊆ c1 (under Φ). *)
 let build calc =
   Putil.Tracing.with_span "clocks.hierarchy"
     ~args:
@@ -21,7 +20,6 @@ let build calc =
          Putil.Tracing.Aint (List.length (Calculus.class_reprs calc))) ]
   @@ fun () ->
   let mgr = Calculus.manager calc in
-  let phi = Calculus.context calc in
   let reprs = Calculus.class_reprs calc in
   let n = List.length reprs in
   let clock = Array.make (max n 1) (Bdd.one mgr) in
@@ -31,37 +29,42 @@ let build calc =
       clock.(c) <- Calculus.clock_of_class_id calc c;
       repr_name.(c) <- r)
     reprs;
-  (* Memoized inclusion matrix over the structural (definitional)
-     clocks. The forest follows the clock definitions, as in the
-     Polychrony compiler; the context Φ refines point queries
-     (emptiness, exclusion) in {!Calculus} but conjoining it into the
-     n² comparisons is both needless for the tree shape and
-     exponentially more expensive. *)
-  ignore phi;
-  (* BDD application mutates the shared manager; serialize against
-     concurrent queries on the same analysis. *)
-  let le_matrix =
-    Calculus.with_query_lock calc @@ fun () ->
-    let not_clock = Array.map (fun c -> Bdd.not_ mgr c) clock in
+  (* Inclusion matrix over the structural (definitional) clocks. The
+     forest follows the clock definitions, as in the Polychrony
+     compiler; the context Φ refines point queries (emptiness,
+     exclusion) in {!Calculus} but is not needed for the tree shape. *)
+  let le =
     Array.init n (fun a ->
-        Array.init n (fun b ->
-            Bdd.is_zero (Bdd.and_ mgr clock.(a) not_clock.(b))))
+        Array.init n (fun b -> a = b || Bdd.implies mgr clock.(a) clock.(b)))
   in
-  let le a b = le_matrix.(a).(b) in
-  let strictly_below a b = le a b && not (le b a) in
-  (* parent of c: a minimal class among those strictly above c *)
+  let strictly_below a b = le.(a).(b) && not le.(b).(a) in
+  (* up.(c): the classes strictly above c *)
+  let up =
+    Array.init n (fun c ->
+        List.filter (fun d -> strictly_below c d) (List.init n Fun.id))
+  in
+  (* The parent of c is the highest-numbered minimal class strictly
+     above it. Visiting the classes by decreasing up-set size puts every
+     e before each d with e strictly below d (d's up-set is a strict
+     subset of e's). So a class above c not yet covered by an earlier
+     minimal one is minimal itself, and it covers its own up-set. *)
+  let up_size = Array.map List.length up in
+  let by_up_size =
+    List.stable_sort
+      (fun a b -> compare up_size.(b) up_size.(a))
+      (List.init n Fun.id)
+  in
+  let covered = Array.make (max n 1) (-1) in
   let parent = Array.make (max n 1) None in
   for c = 0 to n - 1 do
-    let above = ref [] in
-    for d = 0 to n - 1 do
-      if d <> c && strictly_below c d then above := d :: !above
-    done;
-    (* minimal element of [above]: one with no other member of [above]
-       strictly below it *)
-    let minimal d =
-      List.for_all (fun e -> e = d || not (strictly_below e d)) !above
-    in
-    parent.(c) <- List.find_opt minimal !above
+    List.iter
+      (fun d ->
+        if strictly_below c d && covered.(d) <> c then begin
+          parent.(c) <-
+            Some (match parent.(c) with Some p -> max p d | None -> d);
+          List.iter (fun e -> covered.(e) <- c) up.(d)
+        end)
+      by_up_size
   done;
   let children = Array.make (max n 1) [] in
   for c = n - 1 downto 0 do

@@ -352,33 +352,41 @@ let proc_analysis_of km =
   let iface =
     List.map (fun vd -> vd.Ast.var_name) (km.K.kinputs @ km.K.koutputs)
   in
-  let eq = ref [] and le = ref [] and ex = ref [] in
-  let rec pairs = function
-    | [] | [ _ ] -> ()
-    | a :: rest ->
-      List.iter
-        (fun b ->
-          if Clocks.Calculus.same_class calc a b then eq := (a, b) :: !eq
-          else begin
-            if Clocks.Calculus.subclock calc a b then le := (a, b) :: !le;
-            if Clocks.Calculus.subclock calc b a then le := (b, a) :: !le;
-            if Clocks.Calculus.exclusive calc a b then ex := (a, b) :: !ex
-          end)
-        rest;
-      pairs rest
-  in
-  pairs iface;
-  let graph = Analysis.Deadlock.dependency_graph km in
-  let ins = List.map (fun vd -> vd.Ast.var_name) km.K.kinputs in
-  let outs = List.map (fun vd -> vd.Ast.var_name) km.K.koutputs in
-  let deps =
-    List.concat_map
-      (fun i ->
-        let r = Analysis.Digraph.reachable graph i in
-        List.filter_map
-          (fun o -> if List.mem o r then Some (i, o) else None)
-          outs)
-      ins
+  (* interface relations and input→output reachability: what the glue
+     analysis learns about this model *)
+  let eq, le, ex, deps =
+    Putil.Tracing.with_span "pipeline.iface_summary"
+      ~args:[ ("process", Putil.Tracing.Astr km.K.kname) ]
+    @@ fun () ->
+    let eq = ref [] and le = ref [] and ex = ref [] in
+    let rec pairs = function
+      | [] | [ _ ] -> ()
+      | a :: rest ->
+        List.iter
+          (fun b ->
+            if Clocks.Calculus.same_class calc a b then eq := (a, b) :: !eq
+            else begin
+              if Clocks.Calculus.subclock calc a b then le := (a, b) :: !le;
+              if Clocks.Calculus.subclock calc b a then le := (b, a) :: !le;
+              if Clocks.Calculus.exclusive calc a b then ex := (a, b) :: !ex
+            end)
+          rest;
+        pairs rest
+    in
+    pairs iface;
+    let graph = Analysis.Deadlock.dependency_graph km in
+    let ins = List.map (fun vd -> vd.Ast.var_name) km.K.kinputs in
+    let outs = List.map (fun vd -> vd.Ast.var_name) km.K.koutputs in
+    let deps =
+      List.concat_map
+        (fun i ->
+          let r = Analysis.Digraph.reachable graph i in
+          List.filter_map
+            (fun o -> if List.mem o r then Some (i, o) else None)
+            outs)
+        ins
+    in
+    (List.rev !eq, List.rev !le, List.rev !ex, deps)
   in
   { pa_model = km.K.kname;
     pa_consistent = Clocks.Calculus.consistent calc;
@@ -386,9 +394,9 @@ let proc_analysis_of km =
     pa_null = nulls;
     pa_determinism = det;
     pa_deadlock = dl;
-    pa_iface_eq = List.rev !eq;
-    pa_iface_le = List.rev !le;
-    pa_iface_ex = List.rev !ex;
+    pa_iface_eq = eq;
+    pa_iface_le = le;
+    pa_iface_ex = ex;
     pa_iface_null = List.filter (fun x -> List.mem x nulls) iface;
     pa_iface_dep = deps }
 

@@ -494,22 +494,18 @@ let compile_impl kp =
     (* presence sources per class *)
     let pdefs = Array.make nclasses Pfree in
     let mgr = Calc.manager calc in
-    (* [Bdd.support] walks the shared manager's node arrays; take the
-       analysis query lock so concurrent sessions querying the same
-       memoized calculus can't grow them under us. *)
-    Calc.with_query_lock calc (fun () ->
-        for c = 0 to nclasses - 1 do
-          let support = Bdd.support mgr clock_bdd.(c) in
-          let refers_self =
-            List.exists
-              (fun v ->
-                match Calc.var_kind calc v with
-                | Some (`Present c') -> c' = c
-                | _ -> false)
-              support
-          in
-          pdefs.(c) <- (if refers_self then Pfree else Pderived)
-        done);
+    for c = 0 to nclasses - 1 do
+      let support = Bdd.support mgr clock_bdd.(c) in
+      let refers_self =
+        List.exists
+          (fun v ->
+            match Calc.var_kind calc v with
+            | Some (`Present c') -> c' = c
+            | _ -> false)
+          support
+      in
+      pdefs.(c) <- (if refers_self then Pfree else Pderived)
+    done;
     (* stateful primitive outputs override *)
     let stateful_outs lp =
       match lp.Prog.lp_ki.K.ki_prim with

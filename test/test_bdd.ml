@@ -98,6 +98,43 @@ let prop_involution =
       let b = to_bdd m e in
       Bdd.equal b (Bdd.not_ m (Bdd.not_ m b)))
 
+(* The node-free emptiness tests agree with building the conjunction.
+   They run first, while the operands' negations are not yet
+   hash-consed, and again after [not_] has recorded them, so both
+   readings of a complemented literal are exercised. *)
+let prop_conj_empty =
+  QCheck2.Test.make ~name:"conj_empty/implies/exclusive = is_zero of and_"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 4) (pair (gen_bexp nvars) bool))
+    (fun ops ->
+      let m = mgr () in
+      let lits = List.map (fun (e, neg) -> (to_bdd m e, neg)) ops in
+      let node_free () =
+        let pair =
+          match lits with
+          | (a, _) :: (b, _) :: _ ->
+            Some (Bdd.implies m a b, Bdd.exclusive m a b)
+          | _ -> None
+        in
+        (Bdd.conj_empty m lits, pair)
+      in
+      let cold = node_free () in
+      let lit (b, neg) = if neg then Bdd.not_ m b else b in
+      let built =
+        Bdd.is_zero
+          (List.fold_left (fun acc l -> Bdd.and_ m acc (lit l)) (Bdd.one m)
+             lits)
+      in
+      let built_pair =
+        match lits with
+        | (a, _) :: (b, _) :: _ ->
+          Some
+            ( Bdd.is_zero (Bdd.and_ m a (Bdd.not_ m b)),
+              Bdd.is_zero (Bdd.and_ m a b) )
+        | _ -> None
+      in
+      cold = (built, built_pair) && node_free () = (built, built_pair))
+
 let test_terminals () =
   let m = mgr () in
   Alcotest.(check bool) "zero" true (Bdd.is_zero (Bdd.zero m));
@@ -242,7 +279,8 @@ let test_id () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_semantics; prop_canonical; prop_de_morgan; prop_involution ]
+    [ prop_semantics; prop_canonical; prop_de_morgan; prop_involution;
+      prop_conj_empty ]
 
 let suite =
   [ ("bdd",

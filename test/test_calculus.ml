@@ -132,6 +132,23 @@ let test_hierarchy_forest () =
     (H.master h = None);
   Alcotest.(check bool) "two roots" true (List.length (H.roots h) >= 2)
 
+(* y = a when b sits below two incomparable classes, ^a and ^b: among
+   several minimal classes above it, the highest-numbered is the
+   parent *)
+let test_hierarchy_tie_break () =
+  let p =
+    B.proc ~name:"p"
+      ~inputs:[ Ast.var "a" tint; Ast.var "b" tbool ]
+      ~outputs:[ Ast.var "y" tint ]
+      B.[ "y" := when_ (v "a") (v "b") ]
+  in
+  let c = calc p in
+  let h = H.build c in
+  let id = C.class_id_of c in
+  Alcotest.(check (option int)) "parent of y"
+    (Some (max (id "a") (id "b")))
+    (H.node h (id "y")).H.parent
+
 let test_class_count_scales () =
   (* chain of when-samplings produces one class per level *)
   let n = 30 in
@@ -191,6 +208,74 @@ let test_pp_summary_runs () =
   Alcotest.(check bool) "summary mentions classes" true
     (String.length s > 0)
 
+(* ---------------- frozen manager ---------------------------------- *)
+
+module P = Polychrony.Pipeline
+
+(* a cold case-study analysis: a fresh calculus and manager *)
+let case_study () =
+  C.reset_cache ();
+  match
+    P.analyze ~registry:Polychrony.Case_study.registry_nominal
+      Polychrony.Case_study.aadl_source
+  with
+  | Ok a -> a
+  | Error _ -> Alcotest.fail "case study does not analyze"
+
+(* Every consumer of a published analysis only reads its manager: the
+   text report (summary, diagnostics, hierarchy, deadlock, determinism,
+   plan build) creates no BDD node. *)
+let test_report_creates_no_node () =
+  let a = case_study () in
+  let calc = Lazy.force a.P.calc in
+  let nodes () = Clocks.Bdd.node_count (C.manager calc) in
+  let before = nodes () in
+  ignore (Format.asprintf "%a" P.pp_summary a);
+  ignore (C.diags calc);
+  ignore (H.build calc);
+  ignore (Analysis.Deadlock.analyze ~calc a.P.kernel);
+  ignore (Analysis.Determinism.analyze calc a.P.kernel);
+  (match Polysim.Compile.compile_uncached a.P.kernel with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "node count unchanged by the report" before (nodes ())
+
+(* Four domains query one memoized calculus with no lock and get the
+   sequential answers. *)
+let test_concurrent_queries () =
+  let a = case_study () in
+  let calc = C.analyze a.P.kernel in
+  let iface =
+    List.map
+      (fun vd -> vd.Ast.var_name)
+      (a.P.kernel.Signal_lang.Kernel.kinputs
+      @ a.P.kernel.Signal_lang.Kernel.koutputs)
+  in
+  let run () =
+    ( C.null_signals calc,
+      List.concat_map
+        (fun x ->
+          List.map (fun y -> (C.subclock calc x y, C.exclusive calc x y)) iface)
+        iface,
+      H.nodes (H.build calc) )
+  in
+  let nodes () = Clocks.Bdd.node_count (C.manager calc) in
+  let before = nodes () in
+  let reference = run () in
+  let results = Array.make 8 None in
+  Putil.Domain_pool.with_pool 4 (fun pool ->
+      Putil.Domain_pool.run_tasks pool
+        (List.init (Array.length results) (fun i () ->
+             results.(i) <- Some (run ()))));
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "task %d agrees with the sequential run" i)
+        true
+        (r = Some reference))
+    results;
+  Alcotest.(check int) "node count unchanged" before (nodes ())
+
 let suite =
   [ ("calculus",
      [ Alcotest.test_case "sync classes" `Quick test_sync_classes;
@@ -205,8 +290,14 @@ let suite =
          test_contradictory_constraints;
        Alcotest.test_case "hierarchy tree" `Quick test_hierarchy_tree;
        Alcotest.test_case "hierarchy forest" `Quick test_hierarchy_forest;
+       Alcotest.test_case "hierarchy tie-break" `Quick
+         test_hierarchy_tie_break;
        Alcotest.test_case "class count scales" `Quick test_class_count_scales;
        Alcotest.test_case "fm clock structure" `Quick test_fm_clock_structure;
        Alcotest.test_case "stable representative" `Quick
          test_representative_stable;
-       Alcotest.test_case "summary printer" `Quick test_pp_summary_runs ]) ]
+       Alcotest.test_case "summary printer" `Quick test_pp_summary_runs;
+       Alcotest.test_case "report creates no node" `Quick
+         test_report_creates_no_node;
+       Alcotest.test_case "concurrent queries without a lock" `Quick
+         test_concurrent_queries ]) ]

@@ -445,8 +445,9 @@ module M = Putil.Metrics
 let layers =
   [ "aadl.parse"; "aadl.check"; "aadl.instantiate"; "trans.system";
     "trans.thread"; "sched.synthesize"; "signal_lang.typecheck";
-    "signal_lang.normalize"; "clocks.calculus"; "analysis.determinism";
-    "analysis.deadlock"; "util.store_get"; "util.store_put";
+    "signal_lang.normalize"; "clocks.calculus"; "clocks.null_signals";
+    "analysis.determinism"; "analysis.deadlock"; "pipeline.iface_summary";
+    "util.store_get"; "util.store_put";
     "pipeline.analyze"; "compile.plan"; "compile.step"; "pipeline.simulate";
     "explore.sym.check"; "explore.check" ]
 
